@@ -12,13 +12,23 @@ event loop (:class:`_Hub`) that assembles collectives, routes point-to-point
 messages, and watches process sentinels so a dead worker aborts its peers
 instead of deadlocking them.
 
-Transport is pickle protocol 5 with out-of-band buffers: any contiguous
-buffer at or above ``shm_threshold`` bytes (default 64 KiB) is placed in a
-single per-message :class:`multiprocessing.shared_memory.SharedMemory`
-segment and travels as a (name, offset, size) handle rather than a copy
-through the pipe.  The receiver copies buffers out into fresh ``bytearray``\\ s
-(value semantics — mutating a received array never corrupts a peer) and
-unlinks the segment, so segments live exactly one hop.
+Transport is pickle protocol 5 with out-of-band buffers.  Each rank has two
+persistent :class:`multiprocessing.shared_memory.SharedMemory` arenas for the
+whole run: *up* carries its collective payloads to the hub, *down* carries
+the hub's results back.  Any contiguous buffer of at least
+:data:`SHM_THRESHOLD` bytes is copied into the sender's arena and travels as
+an (offset, size) span; the pickle stream itself goes through the pipe.  The
+parent creates every arena before it forks, so ranks inherit the mappings
+and the parent's resource tracker, and it unlinks all of them when the run
+ends, however it ends.  A rank whose payload outgrows its up arena sends it
+in-band and the hub answers with a replacement at least twice as large; the
+hub replaces a down arena before writing a result that would not fit, and
+the rank attaches each replacement by name.  Every rank has at most one
+collective in flight, so an arena only ever holds the message being read:
+the hub folds contributions from zero-copy views and writes every rank's
+result before replying to any, and ranks copy results out (value semantics
+— mutating a received array never corrupts a peer or the next receive).
+Point-to-point payloads travel in-band through the pipe.
 
 Determinism contract: collectives complete in rank order with the same
 reduction fold as every other backend (:func:`~repro.parallel.comm.reduce_many`)
@@ -33,11 +43,14 @@ are arbitrary closures, which survive fork but do not pickle.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
+import selectors
 import time
+import traceback
 from collections import deque
-from multiprocessing import connection, get_context, resource_tracker, shared_memory
+from multiprocessing import connection, get_context, shared_memory
 from collections.abc import Callable, Sequence
 from typing import Any
 
@@ -45,18 +58,22 @@ from repro.parallel.comm import Communicator, payload_nbytes, reduce_many
 from repro.parallel.perfmodel import PerfModel, VirtualClock
 from repro.parallel.threadcomm import RankFailure
 
-__all__ = ["ProcessComm", "ProcessCommWorld", "run_process_spmd", "DEFAULT_SHM_THRESHOLD"]
+__all__ = ["ProcessComm", "ProcessCommWorld", "run_process_spmd", "SHM_THRESHOLD"]
 
-#: payload buffers at or above this many bytes ride shared memory, not the pipe
-DEFAULT_SHM_THRESHOLD = 64 * 1024
+#: payload buffers at or above this many bytes ride the arenas, smaller ones
+#: the pipe: the measured crossover, from which a 2-rank allreduce through
+#: the arenas beats the same allreduce in-band
+SHM_THRESHOLD = 8 * 1024
 
-#: seconds the hub waits for workers to exit after an abort before terminating
-_TEARDOWN_GRACE = 5.0
+#: first size of every arena in bytes; replacements double it until they fit
+_ARENA_BYTES = 1 << 20
 
-#: slice length for interruptible waits inside workers (seconds)
-_POLL_SLICE = 0.5
+#: buffer offsets inside an arena are multiples of this (one cache line)
+_ALIGN = 64
 
-_SHM_KIND = "shared_memory"  # resource_tracker resource type
+#: seconds a failed run's straggling rank gets after the abort before
+#: SIGTERM, and after SIGTERM before SIGKILL
+_TEARDOWN_GRACE = 0.5
 
 
 def _proc_timeout_from_env() -> float | None:
@@ -68,75 +85,104 @@ def _proc_timeout_from_env() -> float | None:
 
 
 # --------------------------------------------------------------------------
-# Packing: pickle-5 with large buffers hoisted into one shm segment
+# Encoding: pickle-5 with large buffers copied into a shared-memory arena
 # --------------------------------------------------------------------------
 
+Spans = list[tuple[int, int]]
 
-def _pack(obj: Any, threshold: int) -> tuple[bytes, str | None, list[tuple[int, int]]]:
-    """Serialize `obj`; buffers >= `threshold` go out-of-band into one shm segment.
 
-    Returns ``(pickle_bytes, shm_name | None, [(offset, size), ...])``.  The
-    caller owns nothing afterwards: the segment is closed locally and its
-    resource-tracker registration is handed to the receiver (who re-registers
-    on attach and unregisters on unlink, so the books stay balanced).
+def _encode(obj: Any, arena: shared_memory.SharedMemory) -> tuple[bytes, Spans, int]:
+    """Pickle `obj`, copying its buffers of :data:`SHM_THRESHOLD` bytes or
+    more into `arena`.
+
+    Returns ``(pickle_bytes, spans, 0)`` with one ``(offset, size)`` span per
+    copied buffer, or ``(pickle_bytes, [], need)`` with `arena` untouched when
+    those buffers need a `need`-byte arena.
     """
     big: list[memoryview] = []
 
-    def keep_out_of_band(pb: pickle.PickleBuffer) -> bool:
+    def in_band(pb: pickle.PickleBuffer) -> bool:
         try:
             raw = pb.raw()
         except BufferError:  # non-contiguous: let pickle serialize it in-band
             return True
-        if raw.nbytes >= threshold:
-            big.append(raw)
-            return False
-        return True
+        if raw.nbytes < SHM_THRESHOLD:
+            return True
+        big.append(raw)
+        return False
 
-    data = pickle.dumps(obj, protocol=5, buffer_callback=keep_out_of_band)
-    if not big:
-        return data, None, []
-    total = sum(b.nbytes for b in big)
-    shm = shared_memory.SharedMemory(create=True, size=total)
-    spans: list[tuple[int, int]] = []
-    offset = 0
-    for buf in big:
-        shm.buf[offset : offset + buf.nbytes] = buf
-        spans.append((offset, buf.nbytes))
-        offset += buf.nbytes
-    name = shm.name
-    shm.close()
-    # Ownership moves with the message; the receiver's attach re-registers.
-    resource_tracker.unregister(shm._name, _SHM_KIND)
-    return data, name, spans
+    data = pickle.dumps(obj, protocol=5, buffer_callback=in_band)
+    spans: Spans = []
+    end = 0
+    for raw in big:
+        offset = -(-end // _ALIGN) * _ALIGN
+        spans.append((offset, raw.nbytes))
+        end = offset + raw.nbytes
+    if end > arena.size:
+        return data, [], end
+    buf = arena.buf
+    for (offset, size), raw in zip(spans, big):
+        buf[offset : offset + size] = raw
+    return data, spans, 0
 
 
-def _unpack(packed: tuple[bytes, str | None, list[tuple[int, int]]]) -> Any:
-    """Rebuild an object from :func:`_pack` output, consuming its shm segment."""
-    data, name, spans = packed
-    if name is None:
-        return pickle.loads(data)
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        # bytearray copies give the receiver writable, independently-owned
-        # buffers — mpi4py-style value semantics, and safe to use after unlink.
-        buffers = [bytearray(shm.buf[off : off + size]) for off, size in spans]
-    finally:
-        shm.close()
-        shm.unlink()
-    return pickle.loads(data, buffers=buffers)
+def _decode(data: bytes, spans: Spans, arena: shared_memory.SharedMemory, copy: bool) -> Any:
+    """Rebuild an :func:`_encode`\\ d object.  With `copy` its arrays own
+    private buffers; without, they are views that die with the next message."""
+    buf = arena.buf
+    views = [buf[offset : offset + size] for offset, size in spans]
+    return pickle.loads(data, buffers=[bytearray(v) for v in views] if copy else views)
 
 
-def _dispose(packed: tuple[bytes, str | None, list[tuple[int, int]]]) -> None:
-    """Release the shm segment of a message that will never be unpacked."""
-    _, name, _ = packed
-    if name is None:
-        return
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return
-    shm.close()
-    shm.unlink()
+def _release(arena: shared_memory.SharedMemory) -> None:
+    """Unlink a parent-owned arena and drop this process's mapping of it."""
+    arena.unlink()
+    # An exception escaping the hub may still hold views into the mapping;
+    # the mapping is freed with them, and the name is gone either way.
+    with contextlib.suppress(BufferError):
+        arena.close()
+
+
+def _remap(arena: shared_memory.SharedMemory, name: str) -> shared_memory.SharedMemory:
+    """`arena`, or the replacement `name` the hub mapped in its place."""
+    if arena.name == name:
+        return arena
+    replacement = shared_memory.SharedMemory(name=name)
+    arena.close()
+    return replacement
+
+
+class _Arenas:
+    """Every arena of one run; the parent creates, replaces and unlinks them.
+
+    ``up[r]`` carries rank r's payloads to the hub and ``down[r]`` the hub's
+    results back.  Creating the first generation before the fork also starts
+    the parent's resource tracker, which the ranks then share.
+    """
+
+    def __init__(self, nranks: int) -> None:
+        self.up: list[shared_memory.SharedMemory] = []
+        self.down: list[shared_memory.SharedMemory] = []
+        try:
+            for lane in (self.up, self.down):
+                for _ in range(nranks):
+                    lane.append(shared_memory.SharedMemory(create=True, size=_ARENA_BYTES))
+        except BaseException:
+            self.release()
+            raise
+
+    def grow(self, lane: list[shared_memory.SharedMemory], rank: int, need: int) -> None:
+        """Replace ``lane[rank]`` with an arena of at least `need` bytes."""
+        size = lane[rank].size
+        while size < need:
+            size *= 2
+        old = lane[rank]
+        lane[rank] = shared_memory.SharedMemory(create=True, size=size)
+        _release(old)
+
+    def release(self) -> None:
+        for arena in self.up + self.down:
+            _release(arena)
 
 
 def _pickle_exception(rank: int, exc: BaseException) -> bytes:
@@ -160,7 +206,6 @@ class ProcessCommWorld:
         model: PerfModel | None = None,
         fault_hook: Callable[..., bool] | None = None,
         timeout: float | None = None,
-        shm_threshold: int = DEFAULT_SHM_THRESHOLD,
     ) -> None:
         if size < 1:
             raise ValueError("size must be >= 1")
@@ -170,18 +215,26 @@ class ProcessCommWorld:
         #: seconds a worker blocks on the hub before raising; None = forever
         #: (determinism runs).  ``REPRO_PROC_TIMEOUT`` arms it globally (CI).
         self.timeout = timeout if timeout is not None else _proc_timeout_from_env()
-        self.shm_threshold = int(shm_threshold)
 
 
 class ProcessComm(Communicator):
     """One forked rank's endpoint; all traffic goes through the parent hub."""
 
-    def __init__(self, world: ProcessCommWorld, rank: int, conn: connection.Connection) -> None:
+    def __init__(
+        self,
+        world: ProcessCommWorld,
+        rank: int,
+        conn: connection.Connection,
+        up: shared_memory.SharedMemory,
+        down: shared_memory.SharedMemory,
+    ) -> None:
         if not (0 <= rank < world.size):
             raise ValueError(f"rank {rank} out of range for size {world.size}")
         self._world = world
         self._rank = rank
         self._conn = conn
+        self._up = up
+        self._down = down
         self._clock = VirtualClock(model=world.model)
 
     @property
@@ -205,36 +258,38 @@ class ProcessComm(Communicator):
     # Hub round-trips -------------------------------------------------------
 
     def _await_reply(self, op_desc: str) -> tuple[Any, ...]:
-        """Block until the hub replies; every blocking wait honors the timeout."""
+        """Block until the hub replies, for at most the world's timeout."""
         timeout = self._world.timeout
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            wait_for = _POLL_SLICE
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise RuntimeError(
-                        f"rank {self._rank}: {op_desc} timed out after {timeout}s "
-                        "waiting on peers (dead or deadlocked worker?)"
-                    )
-                wait_for = min(wait_for, remaining)
-            if not self._conn.poll(wait_for):
-                continue
-            try:
-                msg = self._conn.recv()
-            except (EOFError, OSError):
-                raise RuntimeError(
-                    f"rank {self._rank}: SPMD hub closed the channel during {op_desc}"
-                ) from None
-            if msg[0] == "abort":
-                raise RuntimeError(f"peer rank failed: {msg[1]}")
-            return msg
+        if timeout is not None and not self._conn.poll(timeout):
+            raise RuntimeError(
+                f"rank {self._rank}: {op_desc} timed out after {timeout}s "
+                "waiting on peers (dead or deadlocked worker?)"
+            )
+        try:
+            msg = self._conn.recv()
+        except (EOFError, OSError):
+            raise RuntimeError(
+                f"rank {self._rank}: SPMD hub closed the channel during {op_desc}"
+            ) from None
+        if msg[0] == "abort":
+            raise RuntimeError(f"peer rank failed: {msg[1]}")
+        return msg
+
+    def _to_hub(self, obj: Any) -> tuple[bytes, Spans, int]:
+        """:func:`_encode` into the up arena; a payload that outgrows it goes
+        in-band, and the nonzero `need` asks the hub for a bigger arena."""
+        data, spans, need = _encode(obj, self._up)
+        if need:
+            data = pickle.dumps(obj, protocol=5)
+        return data, spans, need
 
     def _collective(self, op: str, contribution: Any, root: int | None, reduce_op: str | None):
-        packed = _pack(contribution, self._world.shm_threshold)
-        self._conn.send(("coll", op, root, reduce_op, packed, self._clock.t))
-        _, packed_result, arrival_max = self._await_reply(op)
-        return _unpack(packed_result), arrival_max
+        data, spans, need = self._to_hub(contribution)
+        self._conn.send(("coll", op, root, reduce_op, data, spans, need, self._clock.t))
+        _, data, spans, arrival_max, up, down = self._await_reply(op)
+        self._up = _remap(self._up, up)
+        self._down = _remap(self._down, down)
+        return _decode(data, spans, self._down, copy=True), arrival_max
 
     def _sync(self, arrival_max: float, op: str, nbytes: int) -> None:
         self._clock.sync_to(arrival_max, op, nbytes, self.size)
@@ -311,16 +366,16 @@ class ProcessComm(Communicator):
         if dest == self._rank:
             raise ValueError("self-send would deadlock a blocking rendezvous")
         self._clock.add_p2p(payload_nbytes(obj))
-        packed = _pack(obj, self._world.shm_threshold)
-        self._conn.send(("p2p_send", dest, tag, packed, self._clock.t))
+        data = pickle.dumps(obj, protocol=5)
+        self._conn.send(("p2p_send", dest, tag, data, self._clock.t))
 
     def recv(self, source: int, tag: int = 0) -> Any:
         if not (0 <= source < self.size):
             raise ValueError(f"source {source} out of range")
         self._conn.send(("p2p_recv", source, tag))
-        _, packed, sent_t = self._await_reply(f"recv(source={source}, tag={tag})")
+        _, data, sent_t = self._await_reply(f"recv(source={source}, tag={tag})")
         self._clock.t = max(self._clock.t, sent_t)
-        return _unpack(packed)
+        return pickle.loads(data)
 
 
 def _worker_main(
@@ -328,6 +383,7 @@ def _worker_main(
     rank: int,
     parent_conns: list[connection.Connection],
     child_conns: list[connection.Connection],
+    arenas: _Arenas,
     fn: Callable[..., Any],
     args: tuple,
     kwargs: dict,
@@ -339,12 +395,11 @@ def _worker_main(
         if i != rank:
             c.close()
     conn = child_conns[rank]
-    comm = ProcessComm(world, rank, conn)
+    comm = ProcessComm(world, rank, conn, arenas.up[rank], arenas.down[rank])
     try:
         value = fn(comm, *args, **kwargs)
-        conn.send(
-            ("done", _pack(value, world.shm_threshold), pickle.dumps(comm.clock, protocol=5))
-        )
+        data, spans, _ = comm._to_hub(value)
+        conn.send(("done", data, spans, pickle.dumps(comm.clock, protocol=5)))
     except BaseException as exc:  # any failure must reach the hub
         try:
             conn.send(("error", _pickle_exception(rank, exc)))
@@ -361,8 +416,6 @@ def _worker_main(
 # Hub: the parent-side switchboard
 # --------------------------------------------------------------------------
 
-_COLLECTIVE_SENTINEL = object()
-
 
 class _Hub:
     """Parent event loop: collective assembly, p2p routing, death watch."""
@@ -372,16 +425,18 @@ class _Hub:
         world: ProcessCommWorld,
         procs: list[Any],
         conns: list[connection.Connection],
+        arenas: _Arenas,
     ) -> None:
         self.world = world
         self.procs = procs
         self.conns = conns
+        self.arenas = arenas
         size = world.size
         self.values: list[Any] = [None] * size
         self.clocks: list[VirtualClock] = [VirtualClock(model=world.model) for _ in range(size)]
         self.failure: BaseException | None = None
         self.failure_rank: int | None = None
-        self._pending: dict[int, tuple[str, int | None, str | None, Any, float]] = {}
+        self._pending: dict[int, tuple[str, int | None, str | None, bytes, Spans, float]] = {}
         self._recv_waiters: dict[int, tuple[int, int]] = {}
         self._mailbox: dict[tuple[int, int, int], deque] = {}
         self._alive: set[int] = set(range(size))
@@ -392,41 +447,28 @@ class _Hub:
 
     def _fail(self, rank: int, exc: BaseException) -> None:
         """Record the originating failure and unblock every other worker."""
-        if self.failure is None:
-            self.failure = exc
-            self.failure_rank = rank
-            self._abort_deadline = time.monotonic() + _TEARDOWN_GRACE
-            for r in self._alive:
-                if r == rank or r in self._finished:
-                    continue
-                try:
-                    self.conns[r].send(("abort", repr(exc)))
-                except (OSError, BrokenPipeError):
-                    pass
-        # Payloads parked for a run that is going down will never be read.
-        self._drop_parked()
-
-    def _drop_parked(self) -> None:
-        for _, _, _, packed, _ in self._pending.values():
-            _dispose(packed)
-        self._pending.clear()
-        for box in self._mailbox.values():
-            for packed, _ in box:
-                _dispose(packed)
-        self._mailbox.clear()
-        self._recv_waiters.clear()
+        if self.failure is not None:
+            return
+        self.failure = exc
+        self.failure_rank = rank
+        self._abort_deadline = time.monotonic() + _TEARDOWN_GRACE
+        for r in self._alive:
+            if r == rank or r in self._finished:
+                continue
+            try:
+                self.conns[r].send(("abort", repr(exc)))
+            except (OSError, BrokenPipeError):
+                pass
 
     # Message handling ------------------------------------------------------
 
     def _handle(self, rank: int, msg: tuple) -> None:
         kind = msg[0]
         if kind == "done":
-            _, packed_value, clock_blob = msg
+            _, data, spans, clock_blob = msg
             if self.failure is None:
-                self.values[rank] = _unpack(packed_value)
+                self.values[rank] = _decode(data, spans, self.arenas.up[rank], copy=True)
                 self.clocks[rank] = pickle.loads(clock_blob)
-            else:
-                _dispose(packed_value)
             self._finished.add(rank)
             self._check_stranded_collective()
             return
@@ -437,32 +479,31 @@ class _Hub:
             self._finished.add(rank)
             return
         if self.failure is not None:
-            # The run is going down; just release any shm the message carries.
-            if kind in ("coll", "p2p_send"):
-                _dispose(msg[4] if kind == "coll" else msg[3])
-            return
+            return  # the run is going down; its payloads die with the arenas
         if kind == "coll":
-            _, op, root, reduce_op, packed, t = msg
-            self._pending[rank] = (op, root, reduce_op, packed, t)
+            _, op, root, reduce_op, data, spans, need, t = msg
+            if need:
+                self.arenas.grow(self.arenas.up, rank, need)
+            self._pending[rank] = (op, root, reduce_op, data, spans, t)
             if len(self._pending) == self.world.size:
                 self._complete_collective()
             else:
                 self._check_stranded_collective()
             return
         if kind == "p2p_send":
-            _, dest, tag, packed, sent_t = msg
+            _, dest, tag, data, sent_t = msg
             if self._recv_waiters.get(dest) == (rank, tag):
                 del self._recv_waiters[dest]
-                self._reply(dest, ("p2p", packed, sent_t))
+                self._reply(dest, ("p2p", data, sent_t))
             else:
-                self._mailbox.setdefault((rank, dest, tag), deque()).append((packed, sent_t))
+                self._mailbox.setdefault((rank, dest, tag), deque()).append((data, sent_t))
             return
         if kind == "p2p_recv":
             _, source, tag = msg
             box = self._mailbox.get((source, rank, tag))
             if box:
-                packed, sent_t = box.popleft()
-                self._reply(rank, ("p2p", packed, sent_t))
+                data, sent_t = box.popleft()
+                self._reply(rank, ("p2p", data, sent_t))
             else:
                 self._recv_waiters[rank] = (source, tag)
             return
@@ -502,7 +543,7 @@ class _Hub:
         size = self.world.size
         entries = [self._pending[r] for r in range(size)]
         self._pending.clear()
-        ops = {(op, root, reduce_op) for op, root, reduce_op, _, _ in entries}
+        ops = {entry[:3] for entry in entries}
         if len(ops) != 1:
             self._fail(
                 0, RuntimeError(f"mismatched collectives across ranks: {sorted(ops)}")
@@ -510,24 +551,35 @@ class _Hub:
             return
         op, root, reduce_op = entries[0][:3]
         try:
-            slots = [_unpack(packed) for _, _, _, packed, _ in entries]
-        except Exception as exc:  # corrupt payload: unrecoverable
-            self._fail(0, RuntimeError(f"failed to decode collective payload: {exc!r}"))
-            return
-        arrival_max = max(t for _, _, _, _, t in entries)
-        try:
-            results = self._collective_results(op, root, reduce_op, slots, size)
+            results = self._collective_results(op, root, reduce_op, entries)
         except Exception as exc:
+            # Its frames hold views into the up arenas; the failure outlives them.
+            traceback.clear_frames(exc.__traceback__)
             self._fail(root if root is not None else 0, exc)
             return
-        threshold = self.world.shm_threshold
+        arrival_max = max(entry[-1] for entry in entries)
+        up, down = self.arenas.up, self.arenas.down
+        replies = []
         for r in range(size):
-            self._reply(r, ("coll", _pack(results[r], threshold), arrival_max))
+            data, spans, need = _encode(results[r], down[r])
+            if need:
+                self.arenas.grow(down, r, need)
+                data, spans, _ = _encode(results[r], down[r])
+            replies.append(("coll", data, spans, arrival_max, up[r].name, down[r].name))
+        # Every result is in a down arena now, so ranks may refill their up arenas.
+        for r in range(size):
+            self._reply(r, replies[r])
 
-    @staticmethod
     def _collective_results(
-        op: str, root: int | None, reduce_op: str | None, slots: list[Any], size: int
+        self, op: str, root: int | None, reduce_op: str | None, entries: list[tuple]
     ) -> list[Any]:
+        """Each rank's result, computed from zero-copy views of the payloads
+        in the up arenas; results may alias those views."""
+        size = self.world.size
+        slots = [
+            _decode(data, spans, self.arenas.up[r], copy=False)
+            for r, (_, _, _, data, spans, _) in enumerate(entries)
+        ]
         if op == "barrier":
             return [None] * size
         if op == "bcast":
@@ -553,44 +605,64 @@ class _Hub:
     # Event loop ------------------------------------------------------------
 
     def run(self) -> None:
-        while self._alive:
-            waitables: list[Any] = [self.conns[r] for r in self._alive]
-            waitables += [self.procs[r].sentinel for r in self._alive]
-            connection.wait(waitables, timeout=0.2)
-            for r in sorted(self._alive):
-                self._drain(r)
-                if not self.procs[r].is_alive():
-                    self._drain(r)  # catch messages buffered before exit
-                    self._alive.discard(r)
-                    if r not in self._finished and self.failure is None:
-                        code = self.procs[r].exitcode
-                        self._fail(
-                            r,
-                            RuntimeError(
-                                f"worker process for rank {r} died unexpectedly "
-                                f"(exitcode {code})"
-                            ),
-                        )
-                        self._finished.add(r)
-                    self._check_stranded_collective()
-            if self._abort_deadline is not None and time.monotonic() > self._abort_deadline:
-                break  # stragglers ignored the abort; caller terminates them
+        with selectors.DefaultSelector() as sel:
+            for r in self._alive:
+                sel.register(self.conns[r], selectors.EVENT_READ, r)
+                sel.register(self.procs[r].sentinel, selectors.EVENT_READ, r)
+            while self._alive:
+                timeout = None
+                if self._abort_deadline is not None:
+                    timeout = self._abort_deadline - time.monotonic()
+                    if timeout <= 0:
+                        break  # stragglers ignored the abort; the launcher stops them
+                for key, _ in sel.select(timeout):
+                    r = key.data
+                    if key.fileobj is self.conns[r]:
+                        if not self._recv(r):
+                            sel.unregister(key.fileobj)  # EOF: the rank is exiting
+                    elif not self.procs[r].is_alive():
+                        sel.unregister(key.fileobj)
+                        self._exited(r)
 
-    def _drain(self, rank: int) -> None:
-        conn = self.conns[rank]
-        while True:
-            try:
-                if not conn.poll(0):
-                    return
-                msg = conn.recv()
-            except (EOFError, OSError):
-                return
-            self._handle(rank, msg)
+    def _exited(self, rank: int) -> None:
+        while self.conns[rank].poll(0) and self._recv(rank):
+            pass  # handle messages buffered before the exit
+        self._alive.discard(rank)
+        if rank not in self._finished and self.failure is None:
+            code = self.procs[rank].exitcode
+            self._fail(
+                rank,
+                RuntimeError(
+                    f"worker process for rank {rank} died unexpectedly (exitcode {code})"
+                ),
+            )
+            self._finished.add(rank)
+        self._check_stranded_collective()
+
+    def _recv(self, rank: int) -> bool:
+        """Handle one message from `rank`; False once its channel is closed."""
+        try:
+            msg = self.conns[rank].recv()
+        except (EOFError, OSError):
+            return False
+        self._handle(rank, msg)
+        return True
 
 
 # --------------------------------------------------------------------------
 # Launcher
 # --------------------------------------------------------------------------
+
+
+def _stop(procs: list[Any]) -> None:
+    """Reap every rank, sending stragglers SIGTERM and, a grace later, SIGKILL."""
+    for signal_rank in ("terminate", "kill"):
+        alive = [p for p in procs if p.is_alive()]
+        for p in alive:
+            getattr(p, signal_rank)()
+        deadline = time.monotonic() + _TEARDOWN_GRACE
+        for p in alive:
+            p.join(timeout=max(0.0, deadline - time.monotonic()))
 
 
 def run_process_spmd(
@@ -602,7 +674,6 @@ def run_process_spmd(
     model: PerfModel | None = None,
     fault_hook: Callable[..., bool] | None = None,
     timeout: float | None = None,
-    shm_threshold: int = DEFAULT_SHM_THRESHOLD,
 ) -> tuple[list[Any], list[VirtualClock]]:
     """Run ``fn(comm, *args, **kwargs)`` on `nranks` forked processes.
 
@@ -618,47 +689,29 @@ def run_process_spmd(
             "backend='process' needs the fork start method (POSIX only); "
             "use backend='thread' on this platform"
         ) from None
-    world = ProcessCommWorld(
-        nranks,
-        model=model,
-        fault_hook=fault_hook,
-        timeout=timeout,
-        shm_threshold=shm_threshold,
-    )
-    pipes = [ctx.Pipe(duplex=True) for _ in range(nranks)]
-    parent_conns = [p for p, _ in pipes]
-    child_conns = [c for _, c in pipes]
-    procs = [
-        ctx.Process(
-            target=_worker_main,
-            args=(world, rank, parent_conns, child_conns, fn, args, kwargs),
-            name=f"spmd-rank-{rank}",
-            daemon=True,
-        )
-        for rank in range(nranks)
-    ]
-    for p in procs:
-        p.start()
-    for c in child_conns:
-        c.close()
-
-    hub = _Hub(world, procs, parent_conns)
+    world = ProcessCommWorld(nranks, model=model, fault_hook=fault_hook, timeout=timeout)
+    arenas = _Arenas(nranks)
+    procs: list[Any] = []
+    parent_conns: list[connection.Connection] = []
     try:
+        pipes = [ctx.Pipe(duplex=True) for _ in range(nranks)]
+        parent_conns = [p for p, _ in pipes]
+        child_conns = [c for _, c in pipes]
+        for rank in range(nranks):
+            procs.append(ctx.Process(
+                target=_worker_main,
+                args=(world, rank, parent_conns, child_conns, arenas, fn, args, kwargs),
+                name=f"spmd-rank-{rank}",
+                daemon=True,
+            ))
+        for p in procs:
+            p.start()
+        for c in child_conns:
+            c.close()
+        hub = _Hub(world, procs, parent_conns, arenas)
         hub.run()
     finally:
-        # After a failure the hub already waited out its abort grace; don't
-        # stack a second long join on top of it.
-        grace = 1.0 if hub.failure is not None else _TEARDOWN_GRACE
-        deadline = time.monotonic() + grace
-        for p in procs:
-            p.join(timeout=max(0.0, deadline - time.monotonic()))
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=5.0)
-            if p.is_alive():  # pragma: no cover - terminate() refused
-                p.kill()
-                p.join(timeout=5.0)
+        _stop(procs)
         for c in parent_conns:
             try:
                 c.close()
@@ -666,6 +719,7 @@ def run_process_spmd(
                 pass
         for p in procs:
             p.close()
+        arenas.release()
 
     if hub.failure is not None:
         raise RuntimeError(f"rank {hub.failure_rank} failed") from hub.failure
