@@ -13,9 +13,9 @@ from there (manifests without the key are ``npz``, the historical format).
 Three codecs ship:
 
 * ``npz`` — one compressed ``snapshot_XXXXX.npz`` per snapshot (the
-  original format, byte-identical to the pre-registry files); members are
-  individually compressed, so lazy decode of one variable skips the
-  others' *decompression* but still opens the one zip file.
+  original format); members are individually compressed, so lazy decode
+  of one variable skips the others' *decompression* but still opens the
+  one zip file.
 * ``raw`` — one ``snapshot_XXXXX.raw/`` directory per snapshot with an
   uncompressed ``.npy`` per variable: arrays are memory-mapped on decode
   (zero-copy — no decompression at all), and lazy decode of one variable
@@ -27,6 +27,16 @@ Three codecs ship:
 
 Every codec round-trips arrays bit-exactly (``.npy`` is a lossless
 container), which the codec-golden tests pin per (seed, nranks).
+
+Besides the stored variables, a shard may persist *derived* variables
+(``encode(..., derived=names)``): ``save_dataset`` stores the dataset's
+cluster variable when it is derived rather than stored (SST-P1F4's
+``pv``), so that readers decode one member instead of re-deriving it.  npz writes it as a
+``der_<name>`` member; raw and chunked write it like a variable and list
+it under ``"derived"`` in ``field.json``.  Decoders hand it back through
+:class:`~repro.sim.fields.FlowField`'s ``derived=`` cache, never in
+``variables``, and shards without it (written before it existed) derive
+on read as before, with identical values.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ import abc
 import json
 import os
 import shutil
+from collections.abc import Sequence
 from typing import ClassVar
 
 import numpy as np
@@ -81,10 +92,12 @@ class ShardCodec(abc.ABC):
     contract the stack above relies on:
 
     * :meth:`encode` / :meth:`decode` round-trip a
-      :class:`~repro.sim.fields.FlowField` bit-exactly;
+      :class:`~repro.sim.fields.FlowField` bit-exactly, persisted derived
+      variables included (they come back as the field's derived cache);
     * :meth:`decode_lazy` returns a field whose ``variables`` is a real
       lazy Mapping (``materialize()`` / ``decoded_members()`` supported,
-      ``nbytes()`` from metadata alone);
+      ``nbytes()`` from metadata alone) and whose persisted derived
+      variables decode lazily too;
     * :meth:`shard_time` reads the snapshot time without decoding arrays;
     * :meth:`shard_name` names the shard's single file or directory, so
       ownership layouts can renumber shards and staging tiers can fetch
@@ -148,8 +161,12 @@ class ShardCodec(abc.ABC):
     # ---- payload -----------------------------------------------------------
 
     @abc.abstractmethod
-    def encode(self, directory: str, index: int, field: FlowField) -> None:
-        """Write `field` as shard `index` under `directory`."""
+    def encode(
+        self, directory: str, index: int, field: FlowField,
+        derived: Sequence[str] = (),
+    ) -> None:
+        """Write `field` as shard `index` under `directory`, plus each
+        derived variable named in `derived` (``field.get(name)``)."""
 
     @abc.abstractmethod
     def decode(self, directory: str, index: int) -> FlowField:
@@ -195,23 +212,28 @@ def codec_names() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# npz — the historical format, byte-identical
+# npz — the historical format
 # ---------------------------------------------------------------------------
 
 
 @register_codec
 class NpzCodec(ShardCodec):
-    """One compressed npz per snapshot (``save_field``'s format, unchanged:
-    directories written before the registry existed read back through this
-    codec byte-for-byte)."""
+    """One compressed npz per snapshot (``save_field``'s format).
+    Directories written before the registry existed read back through this
+    codec unchanged.  A persisted derived variable is one extra
+    ``der_<name>`` member, which older readers ignore, so such shards are
+    not byte-identical to the historical files."""
 
     name = "npz"
 
     def shard_name(self, index: int) -> str:
         return f"snapshot_{index:05d}.npz"
 
-    def encode(self, directory: str, index: int, field: FlowField) -> None:
-        save_field(self.shard_path(directory, index), field)
+    def encode(
+        self, directory: str, index: int, field: FlowField,
+        derived: Sequence[str] = (),
+    ) -> None:
+        save_field(self.shard_path(directory, index), field, derived)
 
     def decode(self, directory: str, index: int) -> FlowField:
         return load_field(self.shard_path(directory, index))
@@ -231,7 +253,9 @@ class NpzCodec(ShardCodec):
 # ---------------------------------------------------------------------------
 
 
-def _write_shard_meta(path: str, field: FlowField, extra: dict | None = None) -> None:
+def _write_shard_meta(
+    path: str, field: FlowField, derived: Sequence[str], extra: dict | None = None
+) -> None:
     arr = next(iter(field.variables.values()))
     meta = {
         "time": field.time,
@@ -239,6 +263,7 @@ def _write_shard_meta(path: str, field: FlowField, extra: dict | None = None) ->
         "variables": list(field.variables),
         "shape": list(arr.shape),
         "dtype": arr.dtype.str,
+        **({"derived": list(derived)} if derived else {}),
         **(extra or {}),
     }
     with open(os.path.join(path, _SHARD_META), "w", encoding="utf-8") as fh:
@@ -248,6 +273,35 @@ def _write_shard_meta(path: str, field: FlowField, extra: dict | None = None) ->
 def _read_shard_meta(path: str) -> dict:
     with open(os.path.join(path, _SHARD_META), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _shard_arrays(field: FlowField, derived: Sequence[str]):
+    """(name, array) for every stored variable, then every persisted
+    derived one — what a directory-shaped shard writes a file set for."""
+    yield from field.variables.items()
+    for name in derived:
+        yield name, field.get(name)
+
+
+def _decode_dir_shard(meta: dict, load_var) -> FlowField:
+    """Eager decode of a raw/chunked shard (its ``field.json`` is `meta`)
+    through ``load_var(name)``."""
+    return FlowField(
+        variables={n: load_var(n) for n in meta["variables"]},
+        time=meta["time"], meta=meta["meta"],
+        derived={n: load_var(n) for n in meta.get("derived", ())},
+    )
+
+
+def _decode_dir_shard_lazy(meta: dict, load_var) -> LazyField:
+    """Lazy decode of a raw/chunked shard (its ``field.json`` is `meta`):
+    members load through ``load_var(name)`` on first access."""
+    derived = meta.get("derived")
+    return LazyField(
+        LazyMembers(meta["variables"], load_var), tuple(meta["shape"]),
+        np.dtype(meta["dtype"]).itemsize, meta["time"], meta["meta"],
+        derived=LazyMembers(derived, load_var) if derived else None,
+    )
 
 
 @register_codec
@@ -265,29 +319,29 @@ class RawCodec(ShardCodec):
     def shard_name(self, index: int) -> str:
         return f"snapshot_{index:05d}.raw"
 
-    def encode(self, directory: str, index: int, field: FlowField) -> None:
+    def encode(
+        self, directory: str, index: int, field: FlowField,
+        derived: Sequence[str] = (),
+    ) -> None:
         path = self.shard_path(directory, index)
         os.makedirs(path, exist_ok=True)
-        for name, arr in field.variables.items():
+        for name, arr in _shard_arrays(field, derived):
             np.save(os.path.join(path, f"{name}.npy"), np.asarray(arr))
-        _write_shard_meta(path, field)
+        _write_shard_meta(path, field, derived)
 
     def _load_var(self, path: str, name: str) -> np.ndarray:
         return np.load(os.path.join(path, f"{name}.npy"), mmap_mode="r")
 
     def decode(self, directory: str, index: int) -> FlowField:
         path = self.shard_path(directory, index)
-        meta = _read_shard_meta(path)
-        variables = {n: self._load_var(path, n) for n in meta["variables"]}
-        return FlowField(variables=variables, time=meta["time"], meta=meta["meta"])
+        return _decode_dir_shard(
+            _read_shard_meta(path), lambda n: self._load_var(path, n)
+        )
 
     def decode_lazy(self, directory: str, index: int) -> LazyField:
         path = self.shard_path(directory, index)
-        meta = _read_shard_meta(path)
-        members = LazyMembers(meta["variables"], lambda n: self._load_var(path, n))
-        return LazyField(
-            members, tuple(meta["shape"]), np.dtype(meta["dtype"]).itemsize,
-            meta["time"], meta["meta"],
+        return _decode_dir_shard_lazy(
+            _read_shard_meta(path), lambda n: self._load_var(path, n)
         )
 
     def shard_time(self, directory: str, index: int) -> float:
@@ -318,17 +372,20 @@ class ChunkedCodec(ShardCodec):
     def shard_name(self, index: int) -> str:
         return f"snapshot_{index:05d}.chunked"
 
-    def encode(self, directory: str, index: int, field: FlowField) -> None:
+    def encode(
+        self, directory: str, index: int, field: FlowField,
+        derived: Sequence[str] = (),
+    ) -> None:
         path = self.shard_path(directory, index)
         os.makedirs(path, exist_ok=True)
         n_chunks = None
-        for name, arr in field.variables.items():
+        for name, arr in _shard_arrays(field, derived):
             flat = np.asarray(arr).reshape(-1)
             chunks = np.array_split(flat, min(self.n_chunks, max(1, flat.size)))
             n_chunks = len(chunks)
             for c, chunk in enumerate(chunks):
                 np.save(os.path.join(path, f"{name}.c{c:04d}.npy"), chunk)
-        _write_shard_meta(path, field, extra={"n_chunks": n_chunks})
+        _write_shard_meta(path, field, derived, extra={"n_chunks": n_chunks})
 
     def _load_var(self, path: str, name: str, meta: dict) -> np.ndarray:
         parts = [
@@ -340,19 +397,12 @@ class ChunkedCodec(ShardCodec):
     def decode(self, directory: str, index: int) -> FlowField:
         path = self.shard_path(directory, index)
         meta = _read_shard_meta(path)
-        variables = {n: self._load_var(path, n, meta) for n in meta["variables"]}
-        return FlowField(variables=variables, time=meta["time"], meta=meta["meta"])
+        return _decode_dir_shard(meta, lambda n: self._load_var(path, n, meta))
 
     def decode_lazy(self, directory: str, index: int) -> LazyField:
         path = self.shard_path(directory, index)
         meta = _read_shard_meta(path)
-        members = LazyMembers(
-            meta["variables"], lambda n: self._load_var(path, n, meta)
-        )
-        return LazyField(
-            members, tuple(meta["shape"]), np.dtype(meta["dtype"]).itemsize,
-            meta["time"], meta["meta"],
-        )
+        return _decode_dir_shard_lazy(meta, lambda n: self._load_var(path, n, meta))
 
     def shard_time(self, directory: str, index: int) -> float:
         return float(_read_shard_meta(self.shard_path(directory, index))["time"])

@@ -19,6 +19,7 @@ from repro.data.codecs import get_codec
 from repro.data.dataset import TurbulenceDataset
 from repro.data.sources import SimulationSource
 from repro.data.store import MANIFEST, read_manifest, write_manifest
+from repro.sim.fields import DERIVED_VARIABLES
 
 __all__ = ["DTYPE_TO_LABEL", "load_dataset", "save_dataset", "stream_dataset"]
 
@@ -40,19 +41,36 @@ def save_dataset(dataset: TurbulenceDataset, path: str, codec: str = "npz") -> N
     """Write a dataset as one shard per snapshot plus a manifest.
 
     ``codec`` picks the shard layout from the
-    :mod:`~repro.data.codecs` registry (``npz`` keeps the historical
-    compressed-npz files byte-for-byte; ``raw`` and ``chunked`` trade
-    compression for zero-copy / per-chunk reads).  The chosen codec is
-    stamped into the manifest, so readers auto-detect it.  The manifest is
-    written *last* and atomically (tmp + rename): it is the directory's
-    commit record — a writer killed mid-save leaves no ``manifest.json``,
-    so :class:`~repro.data.sources.ShardDirSource` refuses the half-built
-    directory instead of silently serving a truncated dataset.
+    :mod:`~repro.data.codecs` registry (``npz`` compressed zip members, the
+    default; ``raw`` and ``chunked`` trade compression for zero-copy /
+    per-chunk reads).  The chosen codec is stamped into the manifest, so
+    readers auto-detect it.
+
+    When ``cluster_var`` is derived rather than stored (SST-P1F4's
+    ``pv``), every shard also persists it, computed by the same
+    :data:`~repro.sim.fields.DERIVED_VARIABLES` function a reader would
+    run: readers then decode that one member instead of its inputs, with
+    bit-identical values.  It costs one extra member per shard, so npz
+    shards are no longer byte-identical to the historical files (older
+    readers ignore the member, and older directories derive on read).
+
+    The manifest is written *last* and atomically (tmp + rename): it is the
+    directory's commit record — a writer killed mid-save leaves no
+    ``manifest.json``, so :class:`~repro.data.sources.ShardDirSource`
+    refuses the half-built directory instead of silently serving a
+    truncated dataset.
     """
     codec_obj = get_codec(codec)
     os.makedirs(path, exist_ok=True)
+    cluster_var = dataset.cluster_var
+    derived = (
+        (cluster_var,)
+        if cluster_var in DERIVED_VARIABLES
+        and cluster_var not in dataset.snapshots[0].variables
+        else ()
+    )
     for i, snap in enumerate(dataset.snapshots):
-        codec_obj.encode(path, i, snap)
+        codec_obj.encode(path, i, snap, derived)
     manifest = {
         "label": dataset.label,
         "description": dataset.description,

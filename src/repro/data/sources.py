@@ -52,6 +52,7 @@ codec auto-detected), or a spec string like ``raw+dir:///data/shards`` /
 from __future__ import annotations
 
 import abc
+import contextlib
 import dataclasses
 import os
 import queue
@@ -68,7 +69,7 @@ import numpy as np
 
 from repro.data.codecs import get_codec
 from repro.data.dataset import TurbulenceDataset
-from repro.data.store import LazyMembers, read_manifest, write_manifest
+from repro.data.store import LazyField, read_manifest, write_manifest
 from repro.sim.fields import FlowField
 
 __all__ = [
@@ -683,7 +684,7 @@ class RemoteTieredSource(ShardDirSource):
             self.bandwidth = float(bandwidth)
             self._staged: OrderedDict[int, int] = OrderedDict()  # index -> bytes
             self._staging: dict[int, threading.Event] = {}  # in-flight fetches
-            self._decoding: dict[int, int] = {}  # index -> active decode count
+            self._decoding: dict[int, int] = {}  # index -> active reads (pins)
             super().__init__(
                 staging, max_cached=max_cached, prefetch=prefetch, lazy=lazy
             )
@@ -745,7 +746,8 @@ class RemoteTieredSource(ShardDirSource):
     def _evict_staged(self) -> None:
         """Drop least-recent staged shards down to ``max_staged`` (lock
         held).  Shards resident in the RAM LRU, queued for prefetch, or
-        mid-decode are skipped — their files are still being read."""
+        pinned by a decode or deferred member read are skipped — their
+        files are still being read."""
         while len(self._staged) > self.max_staged:
             victim = next(
                 (k for k in self._staged
@@ -759,19 +761,16 @@ class RemoteTieredSource(ShardDirSource):
             self._stats.staged_evictions += 1
             self.codec.remove_shard(self.path, victim)
 
-    def _decode(self, i: int, materialize: bool = False) -> FlowField:
-        """Stage shard `i` from the remote tier, then decode the staged
-        copy (outside the lock, so fetches and decodes overlap).  The shard
-        is pinned against staging eviction while the decode reads it, and a
-        lazy field's deferred member reads re-stage on demand — so a staged
-        file vanishing under a bounded tier is never an error, only another
-        accounted fetch."""
-        self.shard_path(i)  # validate the index before any fetch
+    @contextlib.contextmanager
+    def _pinned(self, i: int) -> Iterator[None]:
+        """Stage shard `i` and pin it against staging eviction until the
+        block exits: the files a decode or a deferred member read opens
+        must outlive the eviction its own fetch may trigger."""
         with self._lock:
             self._decoding[i] = self._decoding.get(i, 0) + 1
         try:
             self._stage(i)
-            field = super()._decode(i, materialize)
+            yield
         finally:
             with self._lock:
                 depth = self._decoding[i] - 1
@@ -779,9 +778,19 @@ class RemoteTieredSource(ShardDirSource):
                     self._decoding[i] = depth
                 else:
                     del self._decoding[i]
-        members = getattr(field, "variables", None)
-        if isinstance(members, LazyMembers):
-            members.before_load(lambda: self._stage(i))
+
+    def _decode(self, i: int, materialize: bool = False) -> FlowField:
+        """Stage shard `i` from the remote tier, then decode the staged
+        copy (outside the lock, so fetches and decodes overlap).  The shard
+        is pinned while the decode reads it, and a lazy field's deferred
+        member reads (persisted derived members included) re-stage and pin
+        it the same way — so a staged file vanishing under a bounded tier
+        is never an error, only another accounted fetch."""
+        self.shard_path(i)  # validate the index before any fetch
+        with self._pinned(i):
+            field = super()._decode(i, materialize)
+        if isinstance(field, LazyField):
+            field.around_load(lambda: self._pinned(i))
         return field
 
     def _shard_time(self, i: int) -> float:

@@ -3,12 +3,15 @@
 A :class:`FlowField` is one solution snapshot: named variables on a common
 grid plus a time stamp.  Derived variables (Table 1's K-means cluster
 variables: vorticity ``wz``, enstrophy, dissipation ``ee``, potential
-vorticity ``pv``) are computed on demand and cached.
+vorticity ``pv``) are computed on demand and cached; a reader may seed that
+cache with values persisted at ingest (``derived=``), so a stored cluster
+variable is decoded instead of re-derived.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections import ChainMap
+from collections.abc import Callable, Mapping, MutableMapping
 
 import numpy as np
 
@@ -49,12 +52,9 @@ def _pv(field: FlowField) -> np.ndarray:
     u, v, w = _need(field, "u", "v", "w")
     (r,) = _need(field, "r")
     wx, wy, wz = spectral.vorticity(u, v, w)
-    gx = spectral.spectral_gradient(r, 0)
-    gy = spectral.spectral_gradient(r, 1)
-    gz = spectral.spectral_gradient(r, 2)
     # Background stratification contributes a mean gradient along gravity.
     g_axis = {"x": 0, "y": 1, "z": 2}.get(field.meta.get("gravity", "z"), 2)
-    grads = [gx, gy, gz]
+    grads = list(spectral.gradient(r))
     grads[g_axis] = grads[g_axis] + field.meta.get("background_drho", 1.0)
     return wx * grads[0] + wy * grads[1] + wz * grads[2]
 
@@ -88,6 +88,10 @@ class FlowField:
     meta:
         Free-form metadata consumed by derived variables (``nu``, ``gravity``,
         ``background_drho``) and dataset descriptions.
+    derived:
+        Optional precomputed derived variables (name to array, or a lazy
+        mapping that decodes on access).  They seed the derived cache and
+        are not part of :attr:`variables` or :meth:`nbytes`.
     """
 
     def __init__(
@@ -95,6 +99,7 @@ class FlowField:
         variables: dict[str, np.ndarray],
         time: float = 0.0,
         meta: dict | None = None,
+        derived: Mapping[str, np.ndarray] | None = None,
     ) -> None:
         if not variables:
             raise ValueError("a FlowField needs at least one variable")
@@ -104,7 +109,14 @@ class FlowField:
         self.variables = dict(variables)
         self.time = float(time)
         self.meta = dict(meta or {})
-        self._cache: dict[str, np.ndarray] = {}
+        self._seed_cache(derived)
+
+    def _seed_cache(self, derived: Mapping[str, np.ndarray] | None) -> None:
+        # A lazy `derived` stays lazy behind the ChainMap: lookups fall
+        # through to it, new derivations land in the front dict.
+        self._cache: MutableMapping[str, np.ndarray] = (
+            ChainMap({}, derived) if derived else {}
+        )
 
     @property
     def grid_shape(self) -> tuple[int, ...]:

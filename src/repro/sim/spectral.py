@@ -19,6 +19,7 @@ __all__ = [
     "solenoidal_random_field",
     "radial_energy_spectrum",
     "spectral_gradient",
+    "gradient",
     "vorticity",
     "divergence",
     "dissipation_rate",
@@ -199,6 +200,17 @@ def spectral_gradient(field: np.ndarray, axis: int) -> np.ndarray:
     return _gradient_from_spectrum(np.fft.rfftn(field), ks, axis, field.shape)
 
 
+def gradient(field: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every d(field)/dx_i from one forward transform; each component is
+    bitwise-equal to ``spectral_gradient(field, i)``."""
+    ks = _wavenumber_grid_cached(field.shape, True, True)
+    fh = np.fft.rfftn(field)
+    return tuple(
+        _gradient_from_spectrum(fh, ks, axis, field.shape)
+        for axis in range(field.ndim)
+    )
+
+
 def _gradient_from_spectrum(
     fh: np.ndarray, ks: tuple[np.ndarray, ...], axis: int, shape: tuple[int, ...]
 ) -> np.ndarray:
@@ -207,13 +219,22 @@ def _gradient_from_spectrum(
 
 
 def vorticity(u: np.ndarray, v: np.ndarray, w: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """Vorticity components; 2-D inputs return the scalar (w_z,)."""
+    """Vorticity components; 2-D inputs return the scalar (w_z,).
+
+    One forward transform per velocity component, shared by the two
+    derivatives that need it (bitwise-equal to per-pair
+    :func:`spectral_gradient` calls, which redo each forward transform).
+    """
+    ks = _wavenumber_grid_cached(u.shape, True, True)
+
+    def d(fh: np.ndarray, axis: int) -> np.ndarray:
+        return _gradient_from_spectrum(fh, ks, axis, u.shape)
+
+    uh, vh = np.fft.rfftn(u), np.fft.rfftn(v)
     if w is None:
-        return (spectral_gradient(v, 0) - spectral_gradient(u, 1),)
-    wx = spectral_gradient(w, 1) - spectral_gradient(v, 2)
-    wy = spectral_gradient(u, 2) - spectral_gradient(w, 0)
-    wz = spectral_gradient(v, 0) - spectral_gradient(u, 1)
-    return wx, wy, wz
+        return (d(vh, 0) - d(uh, 1),)
+    wh = np.fft.rfftn(w)
+    return d(wh, 1) - d(vh, 2), d(uh, 2) - d(wh, 0), d(vh, 0) - d(uh, 1)
 
 
 def divergence(u: np.ndarray, v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
@@ -226,17 +247,11 @@ def divergence(u: np.ndarray, v: np.ndarray, w: np.ndarray | None = None) -> np.
 
 def dissipation_rate(u: np.ndarray, v: np.ndarray, w: np.ndarray, nu: float = 1.0) -> np.ndarray:
     """Local dissipation ε = 2 ν S_ij S_ij from the strain-rate tensor."""
-    comps = (u, v, w)
     # One forward FFT per component, one inverse per distinct du_i/dx_j:
     # the naive per-pair formulation redoes the forward transforms 6x.  The
     # accumulation below visits (i, j) in the same order with bitwise-equal
     # sij (S is symmetric and fp addition commutes), so ε is unchanged.
-    ks = _wavenumber_grid_cached(u.shape, True, True)
-    fhs = [np.fft.rfftn(c) for c in comps]
-    grad = [
-        [_gradient_from_spectrum(fhs[i], ks, j, u.shape) for j in range(3)]
-        for i in range(3)
-    ]
+    grad = [gradient(c) for c in (u, v, w)]
     eps = np.zeros_like(u)
     for i in range(3):
         for j in range(3):

@@ -1,7 +1,10 @@
 """Shard-codec registry tests: every codec round-trips byte-identically,
 stream subsampling is codec-invariant per (seed, nranks) — owned shards
-included — and lazy decode keeps real Mapping semantics."""
+included — lazy decode keeps real Mapping semantics, and a persisted
+derived cluster variable reads back bit-identically to deriving it."""
 
+import dataclasses
+import hashlib
 import json
 import os
 
@@ -9,6 +12,8 @@ import numpy as np
 import pytest
 
 from repro.data import (
+    InMemorySource,
+    RemoteTieredSource,
     ShardDirSource,
     build_dataset,
     codec_names,
@@ -21,6 +26,7 @@ from repro.data import (
 from repro.data.codecs import ShardCodec
 from repro.data.store import MANIFEST, read_manifest, write_manifest
 from repro.sampling import subsample
+from repro.sim.fields import DERIVED_VARIABLES, FlowField
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 
 ALL_CODECS = ("npz", "raw", "chunked")
@@ -40,6 +46,47 @@ def codec_dirs(sst, tmp_path_factory):
         save_dataset(sst, str(path), codec=codec)
         dirs[codec] = str(path)
     return dirs
+
+
+def save_legacy_format(dataset, path, codec):
+    """A directory as save_dataset wrote it before shards persisted the
+    derived cluster variable: the same manifest, every shard encoded
+    without derived members."""
+    save_dataset(dataset, path, codec=codec)
+    c = get_codec(codec)
+    for i, snap in enumerate(dataset.snapshots):
+        c.remove_shard(path, i)
+        c.encode(path, i, snap)
+
+
+@pytest.fixture(scope="module")
+def legacy_dirs(sst, tmp_path_factory):
+    """Per codec, the same dataset in the format without derived members."""
+    dirs = {}
+    for codec in ALL_CODECS:
+        path = str(tmp_path_factory.mktemp(f"legacy_{codec}"))
+        save_legacy_format(sst, path, codec)
+        dirs[codec] = path
+    return dirs
+
+
+def derive(snap, name="pv"):
+    """`name` computed from the stored variables, bypassing any cache."""
+    return DERIVED_VARIABLES[name](snap)
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def points_digest(res) -> str:
+    pts = res.points
+    h = hashlib.sha256()
+    for arr in (pts.coords, np.asarray(pts.time),
+                *(pts.values[k] for k in sorted(pts.values))):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
 
 
 def stream_case(**overrides):
@@ -227,6 +274,110 @@ class TestLazyMappingSemantics:
     ):
         snap = ShardDirSource(codec_dirs[codec], lazy=True).snapshot(0)
         assert np.allclose(snap.get("pv"), sst.snapshots[0].get("pv"))
+
+
+class TestPersistedDerived:
+    """save_dataset persists a derived cluster variable next to each shard's
+    stored variables; readers decode it instead of re-deriving it."""
+
+    @pytest.mark.parametrize("codec", ALL_CODECS)
+    def test_cluster_var_read_decodes_no_stored_member(
+        self, sst, codec_dirs, codec
+    ):
+        src = ShardDirSource(codec_dirs[codec], max_cached=2)
+        for i in range(sst.n_snapshots):
+            snap = src.snapshot(i)
+            pv = snap.get("pv")
+            assert snap.decoded_members() == []
+            assert same_bytes(pv, derive(sst.snapshots[i])), i
+
+    @pytest.mark.parametrize("codec", ALL_CODECS)
+    def test_legacy_format_still_derives(self, sst, legacy_dirs, codec):
+        snap = ShardDirSource(legacy_dirs[codec]).snapshot(1)
+        assert same_bytes(snap.get("pv"), derive(sst.snapshots[1]))
+        assert snap.decoded_members() == ["r", "u", "v", "w"]
+
+    @pytest.mark.parametrize("codec", ALL_CODECS)
+    def test_variables_nbytes_and_round_trip_unchanged(
+        self, sst, codec_dirs, legacy_dirs, codec, tmp_path
+    ):
+        for lazy in (True, False):
+            new = ShardDirSource(codec_dirs[codec], lazy=lazy)
+            old = ShardDirSource(legacy_dirs[codec], lazy=lazy)
+            assert list(new.snapshot(0).variables) == list(old.snapshot(0).variables)
+            assert "pv" not in new.snapshot(0).variables
+            assert new.snapshot(0).nbytes() == old.snapshot(0).nbytes()
+            assert new.nbytes() == old.nbytes()
+        # save -> load -> save -> load keeps stored and derived values
+        loaded = load_dataset("sst-binary", path=codec_dirs[codec])
+        save_dataset(loaded, str(tmp_path), codec=codec)
+        again = load_dataset("sst-binary", path=str(tmp_path))
+        for got, want in zip(again.snapshots, sst.snapshots):
+            assert list(got.variables) == list(want.variables)
+            for name, arr in want.variables.items():
+                assert same_bytes(got.variables[name], arr), name
+            assert same_bytes(got.get("pv"), derive(want))
+
+    @pytest.mark.parametrize("codec", ALL_CODECS)
+    def test_materialize_decodes_persisted_member(
+        self, sst, codec_dirs, codec, tmp_path
+    ):
+        c = get_codec(codec)
+        c.link_shard(codec_dirs[codec], 2, str(tmp_path), 0)
+        field = c.decode_lazy(str(tmp_path), 0).materialize()
+        c.remove_shard(str(tmp_path), 0)  # any later read would fail
+        assert same_bytes(field.get("pv"), derive(sst.snapshots[2]))
+        assert field.decoded_members() == sorted(sst.snapshots[2].variables)
+
+    @pytest.mark.parametrize("codec", ALL_CODECS)
+    def test_remote_tier_restages_persisted_member(self, sst, codec_dirs, codec):
+        src = RemoteTieredSource(codec_dirs[codec], max_staged=1, max_cached=1)
+        try:
+            held = src.snapshot(0)
+            src.snapshot(1)
+            src.snapshot(2)  # shard 0 left RAM and the staging tier
+            assert same_bytes(held.get("pv"), derive(sst.snapshots[0]))
+            assert held.decoded_members() == []
+            assert src.cache_info()["counters"]["remote_fetches"] == 4
+        finally:
+            src.close()
+
+    def test_only_derived_cluster_vars_persist(self, tmp_path):
+        tc2d = build_dataset("TC2D", scale=0.25, rng=0)  # stored "c"
+        save_dataset(tc2d, str(tmp_path / "tc2d"))
+        with np.load(str(tmp_path / "tc2d" / "snapshot_00000.npz")) as data:
+            assert not [k for k in data.files if k.startswith("der_")]
+
+    @pytest.mark.parametrize("mode", ("batch", "stream"))
+    @pytest.mark.parametrize("seed,nranks", [(0, 1), (3, 2)])
+    def test_subsample_identical_for_every_format_codec_and_tier(
+        self, sst, codec_dirs, legacy_dirs, mode, seed, nranks
+    ):
+        """New directories, legacy-format directories and the in-memory
+        source (deriving pv from resident arrays) give byte-identical
+        samples, local and remote://.  In stream mode the in-memory source
+        withholds its exact value-range hint, which shard sources do not
+        give and which moves the online histogram edges by design."""
+
+        class InMemoryNoHint(InMemorySource):
+            def value_range_hint(self, var):
+                return None
+
+        fresh = dataclasses.replace(sst, snapshots=[
+            FlowField(s.variables, s.time, s.meta) for s in sst.snapshots])
+        ref = InMemorySource(fresh) if mode == "batch" else InMemoryNoHint(fresh)
+        want = points_digest(subsample(ref, stream_case(), nranks=nranks,
+                                       seed=seed, mode=mode))
+        for codec in ALL_CODECS:
+            for dirs in (codec_dirs, legacy_dirs):
+                for spec in (dirs[codec], f"remote://{dirs[codec]}?max_staged=2"):
+                    src = open_source(spec, max_cached=2)
+                    try:
+                        got = points_digest(subsample(
+                            src, stream_case(), nranks=nranks, seed=seed, mode=mode))
+                    finally:
+                        src.close()
+                    assert got == want, (codec, spec)
 
 
 class TestAtomicManifest:

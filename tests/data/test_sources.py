@@ -636,6 +636,21 @@ class TestRemoteTieredSource:
         finally:
             src.close()
 
+    def test_lazy_read_after_staging_eviction_restages(self, shard_dir, sst):
+        """A held, undecoded snapshot whose shard left a 1-shard staging
+        tier re-stages on its deferred read — and keeps the re-staged
+        files until the read is done, though the fetch's own eviction
+        pass runs first."""
+        src = self._remote(shard_dir, max_staged=1, max_cached=1)
+        try:
+            held = src.snapshot(0)
+            src.snapshot(1)
+            src.snapshot(2)  # shard 0 is gone from RAM and staging now
+            assert np.array_equal(held.get("u"), sst.snapshots[0].get("u"))
+            assert src.cache_info()["counters"]["remote_fetches"] == 4
+        finally:
+            src.close()
+
     def test_owned_staging_dir_removed_on_close(self, shard_dir):
         import os
 

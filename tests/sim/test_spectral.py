@@ -7,6 +7,7 @@ from repro.sim.spectral import (
     dissipation_rate,
     divergence,
     enstrophy,
+    gradient,
     radial_energy_spectrum,
     solenoidal_random_field,
     spectral_gradient,
@@ -141,6 +142,23 @@ class TestDerivatives:
         v = np.broadcast_to(np.sin(x)[:, None], (n, n)).copy()
         (wz,) = vorticity(np.zeros((n, n)), v)
         assert np.allclose(wz, np.cos(x)[:, None], atol=1e-10)
+
+    def test_shared_spectra_are_bitwise_per_axis_formulas(self):
+        """gradient() and vorticity() reuse one forward transform per
+        field; every component must equal the per-axis formula bit for bit
+        (non-cubic 3-D grid, plus the 2-D path)."""
+        u, v, w = solenoidal_random_field((16, 12, 8), rng=3)
+        r = u * v + w  # a generic non-solenoidal field
+        for got, axis in zip(gradient(r), range(3)):
+            assert np.array_equal(got, spectral_gradient(r, axis)), axis
+        wx, wy, wz = vorticity(u, v, w)
+        assert np.array_equal(wx, spectral_gradient(w, 1) - spectral_gradient(v, 2))
+        assert np.array_equal(wy, spectral_gradient(u, 2) - spectral_gradient(w, 0))
+        assert np.array_equal(wz, spectral_gradient(v, 0) - spectral_gradient(u, 1))
+        u2, v2 = u[:, :, 0].copy(), v[:, :, 0].copy()
+        (wz2,) = vorticity(u2, v2)
+        assert np.array_equal(wz2, spectral_gradient(v2, 0) - spectral_gradient(u2, 1))
+        assert len(gradient(u2)) == 2
 
     def test_dissipation_positive(self):
         u, v, w = solenoidal_random_field(SHAPE, rng=7)
