@@ -60,6 +60,7 @@ import numpy as np
 
 from repro.data import load_dataset
 from repro.data.dataset import TurbulenceDataset
+from repro.data.npyfile import NpzFile
 from repro.data.points import PointSet
 from repro.data.sources import (
     InMemorySource,
@@ -237,36 +238,36 @@ class SubsampleArtifact(Artifact):
 
         if not path.endswith(".npz"):
             path = path + ".npz"
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data[_META_KEY])) if _META_KEY in data.files else {}
-            points = None
-            cubes = None
-            if "coords" in data.files:
-                points = points_from_npz(data, meta.get("points_meta"))
-            elif meta.get("cubes"):
-                cubes = [
-                    Hypercube(
-                        origin=tuple(int(o) for o in cm["origin"]),
-                        shape=tuple(int(s) for s in cm["shape"]),
-                        variables={v: data[f"cube{i}_{v}"] for v in cm["variables"]},
-                        time=cm["time"],
-                        meta=cm.get("meta") or {},
-                    )
-                    for i, cm in enumerate(meta["cubes"])
-                ]
-            result_meta = meta.get("result_meta") or {}
-            if "case" in meta:
-                result_meta = {**result_meta, "case": meta["case"]}
-            result = SubsampleResult(
-                points=points,
-                cubes=cubes,
-                selected_cube_ids=data["selected_cube_ids"],
-                n_candidate_cubes=int(meta.get("n_candidate_cubes", 0)),
-                n_points_scanned=int(meta.get("n_points_scanned", 0)),
-                energy=None,
-                virtual_time=float(meta.get("virtual_time", 0.0)),
-                meta=result_meta,
-            )
+        data = NpzFile(path)
+        meta = json.loads(str(data[_META_KEY])) if _META_KEY in data else {}
+        points = None
+        cubes = None
+        if "coords" in data:
+            points = points_from_npz(data, meta.get("points_meta"))
+        elif meta.get("cubes"):
+            cubes = [
+                Hypercube(
+                    origin=tuple(int(o) for o in cm["origin"]),
+                    shape=tuple(int(s) for s in cm["shape"]),
+                    variables={v: data[f"cube{i}_{v}"] for v in cm["variables"]},
+                    time=cm["time"],
+                    meta=cm.get("meta") or {},
+                )
+                for i, cm in enumerate(meta["cubes"])
+            ]
+        result_meta = meta.get("result_meta") or {}
+        if "case" in meta:
+            result_meta = {**result_meta, "case": meta["case"]}
+        result = SubsampleResult(
+            points=points,
+            cubes=cubes,
+            selected_cube_ids=data["selected_cube_ids"],
+            n_candidate_cubes=int(meta.get("n_candidate_cubes", 0)),
+            n_points_scanned=int(meta.get("n_points_scanned", 0)),
+            energy=None,
+            virtual_time=float(meta.get("virtual_time", 0.0)),
+            meta=result_meta,
+        )
         art_meta = {k: v for k, v in meta.items()
                     if k not in ("result_meta", "points_meta", "cubes")}
         return cls(meta=art_meta, result=result)

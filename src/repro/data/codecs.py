@@ -14,8 +14,9 @@ Three codecs ship:
 
 * ``npz`` — one compressed ``snapshot_XXXXX.npz`` per snapshot (the
   original format); members are individually compressed, so lazy decode
-  of one variable skips the others' *decompression* but still opens the
-  one zip file.
+  of one variable skips the others' *decompression*.  A decode parses the
+  zip's member table once (:class:`~repro.data.npyfile.NpzFile`), and each
+  member read seeks straight to its entry and checks its size and CRC-32.
 * ``raw`` — one ``snapshot_XXXXX.raw/`` directory per snapshot with an
   uncompressed ``.npy`` per variable: arrays are memory-mapped on decode
   (zero-copy — no decompression at all), and lazy decode of one variable
@@ -26,7 +27,8 @@ Three codecs ship:
   variables skip the I/O itself, not just the decompression.
 
 Every codec round-trips arrays bit-exactly (``.npy`` is a lossless
-container), which the codec-golden tests pin per (seed, nranks).
+container), which the codec-golden tests pin per (seed, nranks).  Reads go
+through :mod:`repro.data.npyfile`, never ``np.load``.
 
 Besides the stored variables, a shard may persist *derived* variables
 (``encode(..., derived=names)``): ``save_dataset`` stores the dataset's
@@ -50,6 +52,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from repro.data.npyfile import NpzFile, load_npy
 from repro.data.store import (
     LazyField,
     LazyMembers,
@@ -242,10 +245,9 @@ class NpzCodec(ShardCodec):
         return load_field_lazy(self.shard_path(directory, index))
 
     def shard_time(self, directory: str, index: int) -> float:
-        # np.load decompresses entries on access, so reading just the
-        # scalar "time" entry never decodes the field arrays.
-        with np.load(self.shard_path(directory, index), allow_pickle=False) as data:
-            return float(data["time"])
+        # Members inflate on access, so reading just the scalar "time"
+        # entry never decodes the field arrays.
+        return float(NpzFile(self.shard_path(directory, index))["time"])
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +332,7 @@ class RawCodec(ShardCodec):
         _write_shard_meta(path, field, derived)
 
     def _load_var(self, path: str, name: str) -> np.ndarray:
-        return np.load(os.path.join(path, f"{name}.npy"), mmap_mode="r")
+        return load_npy(os.path.join(path, f"{name}.npy"), mmap=True)
 
     def decode(self, directory: str, index: int) -> FlowField:
         path = self.shard_path(directory, index)
@@ -389,7 +391,7 @@ class ChunkedCodec(ShardCodec):
 
     def _load_var(self, path: str, name: str, meta: dict) -> np.ndarray:
         parts = [
-            np.load(os.path.join(path, f"{name}.c{c:04d}.npy"), allow_pickle=False)
+            load_npy(os.path.join(path, f"{name}.c{c:04d}.npy"))
             for c in range(meta["n_chunks"])
         ]
         return np.concatenate(parts).reshape(meta["shape"])

@@ -54,6 +54,12 @@ def save_dataset(dataset: TurbulenceDataset, path: str, codec: str = "npz") -> N
     shards are no longer byte-identical to the historical files (older
     readers ignore the member, and older directories derive on read).
 
+    The manifest also records each shard's ``cluster_var`` (min, max)
+    under ``"value_ranges"`` — a per-shard zone map, like Parquet's column
+    statistics — so phase 1 can agree on its histogram range without
+    decoding shards (see :meth:`SnapshotSource.stored_range`).  A dataset
+    with a non-finite value there records no ranges.
+
     The manifest is written *last* and atomically (tmp + rename): it is the
     directory's commit record — a writer killed mid-save leaves no
     ``manifest.json``, so :class:`~repro.data.sources.ShardDirSource`
@@ -69,8 +75,11 @@ def save_dataset(dataset: TurbulenceDataset, path: str, codec: str = "npz") -> N
         and cluster_var not in dataset.snapshots[0].variables
         else ()
     )
+    ranges = []
     for i, snap in enumerate(dataset.snapshots):
         codec_obj.encode(path, i, snap, derived)
+        values = snap.get(cluster_var)
+        ranges.append([float(values.min()), float(values.max())])
     manifest = {
         "label": dataset.label,
         "description": dataset.description,
@@ -82,6 +91,8 @@ def save_dataset(dataset: TurbulenceDataset, path: str, codec: str = "npz") -> N
         "target": dataset.target.tolist() if dataset.target is not None else None,
         "codec": codec_obj.name,
     }
+    if np.isfinite(ranges).all():
+        manifest["value_ranges"] = {cluster_var: ranges}
     write_manifest(path, manifest)
 
 

@@ -69,7 +69,7 @@ import numpy as np
 
 from repro.data.codecs import get_codec
 from repro.data.dataset import TurbulenceDataset
-from repro.data.store import LazyField, read_manifest, write_manifest
+from repro.data.store import MANIFEST, LazyField, read_manifest, write_manifest
 from repro.sim.fields import FlowField
 
 __all__ = [
@@ -198,6 +198,14 @@ class SnapshotSource(abc.ABC):
         """Optional global (min, max) of a variable, if knowable without an
         extra pass.  Streaming samplers fall back to estimating from the
         first chunk when this returns None."""
+        return None
+
+    def stored_range(self, var: str, i: int) -> tuple[float, float] | None:
+        """(min, max) of `var` over snapshot `i` as recorded at ingest, or
+        None when the source keeps no such record.  Shard directories keep
+        one for the cluster variable (the manifest's ``"value_ranges"``);
+        batch phase 1 reads it instead of decoding the snapshot.  Unlike
+        :meth:`value_range_hint` it never feeds stream sampling."""
         return None
 
     def summary_row(self) -> dict:
@@ -381,6 +389,13 @@ class ShardDirSource(SnapshotSource):
         target = manifest.get("target")
         self.target = np.asarray(target, dtype=np.float64) if target is not None else None
         self._n = int(manifest["n_snapshots"])
+        self._ranges: dict[str, list] = manifest.get("value_ranges", {})
+        for var, per_shard in self._ranges.items():
+            if len(per_shard) != self._n:
+                raise ValueError(
+                    f"{MANIFEST} under {path!r} lists {len(per_shard)} "
+                    f"{var!r} ranges for {self._n} shards"
+                )
         self._cache: OrderedDict[int, FlowField] = OrderedDict()
         self._lock = threading.RLock()
         self._grid_shape: tuple[int, ...] | None = None
@@ -428,6 +443,11 @@ class ShardDirSource(SnapshotSource):
             if self._grid_shape is None:
                 self._grid_shape = self.snapshot(0).grid_shape
             return self._grid_shape
+
+    def stored_range(self, var: str, i: int) -> tuple[float, float] | None:
+        self.shard_path(i)  # validate the index
+        per_shard = self._ranges.get(var)
+        return None if per_shard is None else tuple(per_shard[i])
 
     # ---- decode / cache internals -----------------------------------------
 

@@ -20,6 +20,7 @@ from contextlib import AbstractContextManager
 import numpy as np
 from numpy.lib import format as _npformat
 
+from repro.data.npyfile import NpzFile
 from repro.data.points import PointSet
 from repro.sim.fields import FlowField
 
@@ -91,8 +92,9 @@ def points_payload(points: PointSet) -> dict[str, np.ndarray]:
 
 
 def points_from_npz(data, meta: dict | None = None) -> PointSet:
-    """Rebuild a PointSet from an open npz written with :func:`points_payload`."""
-    values = {k[4:]: data[k] for k in data.files if k.startswith("val_")}
+    """Rebuild a PointSet from an npz (an :class:`NpzFile`) written with
+    :func:`points_payload`."""
+    values = {k[4:]: data[k] for k in data if k.startswith("val_")}
     time = data["time"]
     return PointSet(
         coords=data["coords"],
@@ -130,40 +132,40 @@ def save_field(path: str, field: FlowField, derived: Iterable[str] = ()) -> None
 
 def load_field(path: str) -> FlowField:
     """Load a snapshot saved by :func:`save_field`."""
-    with np.load(path, allow_pickle=False) as data:
-        variables = {k[4:]: data[k] for k in data.files if k.startswith("var_")}
-        derived = {k[4:]: data[k] for k in data.files if k.startswith("der_")}
-        time = float(data["time"])
-        meta = json.loads(str(data[_META_KEYS])) if _META_KEYS in data.files else {}
-    return FlowField(variables=variables, time=time, meta=meta, derived=derived)
+    data = NpzFile(path)
+    return FlowField(
+        variables={k[4:]: data[k] for k in data if k.startswith("var_")},
+        time=float(data["time"]), meta=_npz_meta(data),
+        derived={k[4:]: data[k] for k in data if k.startswith("der_")},
+    )
+
+
+def _npz_meta(data: NpzFile) -> dict:
+    """The JSON metadata member of an npz, or ``{}`` when it has none."""
+    return json.loads(str(data[_META_KEYS])) if _META_KEYS in data else {}
 
 
 class LazyMembers(Mapping):
     """Mapping of variable name → array that decodes members on first
     access, whatever the codec underneath.
 
-    ``load_one(name)`` decodes a single member; the optional
-    ``load_all(names)`` decodes several in one I/O pass (e.g. one npz open
-    instead of V zip-directory rescans) and is what :meth:`decode_all`
-    batches through.  A consumer that only reads the cluster variable pays
-    for exactly that member.  Iteration/`in`/`len` reflect the full member
-    list without decoding; anything that needs the arrays (``[key]``,
-    ``get``, ``values()``, ``items()``, ``dict(...)``) decodes what it
-    touches.  A real :class:`collections.abc.Mapping` (not a dict
-    subclass), so every generic mapping operation routes through
+    ``load_one(name)`` decodes a single member (an npz shard's loader reads
+    it through the member table parsed once at decode time, so a member
+    read never rescans the zip directory).  A consumer that only reads the
+    cluster variable pays for exactly that member.  Iteration/`in`/`len`
+    reflect the full member list without decoding; anything that needs the
+    arrays (``[key]``, ``get``, ``values()``, ``items()``, ``dict(...)``)
+    decodes what it touches.  A real :class:`collections.abc.Mapping` (not
+    a dict subclass), so every generic mapping operation routes through
     ``__getitem__`` — there is no C fast path that could silently skip the
     decode.
     """
 
     def __init__(
-        self,
-        members: Iterable[str],
-        load_one: Callable[[str], np.ndarray],
-        load_all: Callable[[list[str]], dict[str, np.ndarray]] | None = None,
+        self, members: Iterable[str], load_one: Callable[[str], np.ndarray]
     ) -> None:
         self._members = tuple(members)
         self._load_one = load_one
-        self._load_all = load_all
         self._decoded: dict[str, np.ndarray] = {}
         self._decode_lock = threading.Lock()
 
@@ -196,31 +198,19 @@ class LazyMembers(Mapping):
         (already-decoded members are unaffected).  Tiered sources use this
         to re-stage shard files a bounded staging tier may have evicted
         since decode time, and to keep them pinned until the read is done."""
-        load_one, load_all = self._load_one, self._load_all
+        load_one = self._load_one
 
         def guarded_one(key: str) -> np.ndarray:
             with guard():
                 return load_one(key)
 
         self._load_one = guarded_one
-        if load_all is not None:
-            def guarded_all(missing: list[str]) -> dict[str, np.ndarray]:
-                with guard():
-                    return load_all(missing)
-
-            self._load_all = guarded_all
 
     def decode_all(self) -> None:
-        """Decode every member, batched through ``load_all`` when the codec
-        provides one (the prefetcher's path)."""
+        """Decode every member not decoded yet (the prefetcher's path)."""
         with self._decode_lock:
-            missing = [k for k in self._members if k not in self._decoded]
-            if not missing:
-                return
-            if self._load_all is not None:
-                self._decoded.update(self._load_all(missing))
-            else:
-                for k in missing:
+            for k in self._members:
+                if k not in self._decoded:
                     self._decoded[k] = self._load_one(k)
 
     def decoded(self) -> list[str]:
@@ -281,46 +271,25 @@ class LazyField(FlowField):
         return self.variables.decoded()
 
 
-def _npz_members(path: str, prefix: str, names: list[str]) -> LazyMembers:
-    """Lazy view of the ``<prefix><name>`` members of one npz file."""
-
-    def load_one(key: str) -> np.ndarray:
-        with np.load(path, allow_pickle=False) as data:
-            return data[prefix + key]
-
-    def load_all(missing: list[str]) -> dict[str, np.ndarray]:
-        with np.load(path, allow_pickle=False) as data:
-            return {k: data[prefix + k] for k in missing}
-
-    return LazyMembers(names, load_one, load_all)
-
-
 def load_field_lazy(path: str) -> LazyField:
     """Open a snapshot saved by :func:`save_field` without decoding fields.
 
-    One open of the file reads the member list, the scalar ``time``, the
-    JSON meta and the first member's npy header (the geometry); array
-    members, persisted derived ones included, decode individually on first
-    access — each is its own zip entry, so decoding one never decompresses
-    the others.
+    Parses the npz member table once and reads the scalar ``time``, the
+    JSON meta and the first member's npy header (the geometry, from its
+    first inflated bytes); array members, persisted derived ones included,
+    decode individually on first access through that same table — each is
+    its own zip entry, so decoding one never decompresses the others.
     """
-    with np.load(path, allow_pickle=False) as data:
-        members = [k[4:] for k in data.files if k.startswith("var_")]
-        if not members:
-            raise ValueError(f"{path!r} holds no field variables")
-        derived = [k[4:] for k in data.files if k.startswith("der_")]
-        time = float(data["time"])
-        meta = json.loads(str(data[_META_KEYS])) if _META_KEYS in data.files else {}
-        with data.zip.open(f"var_{members[0]}.npy") as fh:
-            version = _npformat.read_magic(fh)
-            if version == (1, 0):
-                shape, _, dtype = _npformat.read_array_header_1_0(fh)
-            else:
-                shape, _, dtype = _npformat.read_array_header_2_0(fh)
+    data = NpzFile(path)
+    members = [k[4:] for k in data if k.startswith("var_")]
+    if not members:
+        raise ValueError(f"{path!r} holds no field variables")
+    derived = [k[4:] for k in data if k.startswith("der_")]
+    header = data.header(f"var_{members[0]}")
     return LazyField(
-        _npz_members(path, "var_", members), tuple(int(n) for n in shape),
-        dtype.itemsize, time, meta,
-        derived=_npz_members(path, "der_", derived) if derived else None,
+        LazyMembers(members, lambda k: data[f"var_{k}"]), header.shape,
+        header.dtype.itemsize, float(data["time"]), _npz_meta(data),
+        derived=LazyMembers(derived, lambda k: data[f"der_{k}"]) if derived else None,
     )
 
 
@@ -399,6 +368,7 @@ class OwnedShardLayout:
                 shutil.rmtree(root)
             os.makedirs(root)
         target = manifest.get("target")
+        ranges = manifest.get("value_ranges")
         spans = []
         try:
             for part in stream_partitions(n, nranks):
@@ -411,6 +381,11 @@ class OwnedShardLayout:
                     "n_snapshots": part.n,
                     "target": target[part.lo : part.hi] if target is not None else None,
                 }
+                if ranges is not None:
+                    rank_manifest["value_ranges"] = {
+                        var: per_shard[part.lo : part.hi]
+                        for var, per_shard in ranges.items()
+                    }
                 write_manifest(rank_dir, rank_manifest)
                 spans.append((part.lo, part.hi))
         except BaseException:
@@ -460,11 +435,8 @@ class SubsampleStore:
         return path
 
     def load(self, name: str) -> PointSet:
-        path = self._path(name)
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data[_META_KEYS])) if _META_KEYS in data.files else {}
-            points = points_from_npz(data, meta)
-        return points
+        data = NpzFile(self._path(name))
+        return points_from_npz(data, _npz_meta(data))
 
     def entries(self) -> list[str]:
         return sorted(

@@ -200,23 +200,24 @@ class CubeIndexStage:
 class Phase1SummarizeStage:
     """Per-cube phase-1 statistics on globally agreed histogram edges.
 
-    Two streaming passes over this rank's share of the source: one to agree
-    on global histogram edges (min/max reduction), one to fill the per-cube
-    moments and histograms.  Neither pass materializes more than one
-    snapshot's worth of values at a time.
+    The edges span the global (min, max) of the cluster variable, agreed by
+    a min/max reduction.  Each rank's share of it comes from the per-shard
+    ranges the source recorded at ingest when it has them and the cube
+    tiling covers the grid; otherwise from a first streaming pass over its
+    cubes.  A second (or only) pass fills the per-cube moments and
+    histograms.  No pass materializes more than one snapshot's worth of
+    values at a time.
     """
 
     name = "phase1-summarize"
 
     def run(self, ctx: PipelineContext) -> None:
         comm, bins = ctx.comm, ctx.hist_bins
+        snapshots = list(dict.fromkeys(s for s, _ in ctx.my_cubes))
         # Advisory: tell an async source which snapshots this rank is about
-        # to walk (twice), so decode overlaps the summarization compute.
-        ctx.source.prefetch(dict.fromkeys(s for s, _ in ctx.my_cubes))
-        local_min, local_max = np.inf, -np.inf
-        for _, vals in iter_cube_values(ctx):
-            local_min = min(local_min, float(vals.min()))
-            local_max = max(local_max, float(vals.max()))
+        # to walk, so decode overlaps the summarization compute.
+        ctx.source.prefetch(snapshots)
+        local_min, local_max = self._local_range(ctx, snapshots)
         gmin = comm.allreduce(local_min, op="min")
         gmax = comm.allreduce(local_max, op="max")
         if gmin == gmax:
@@ -244,6 +245,30 @@ class Phase1SummarizeStage:
         comm.account_compute(float(scanned))
         if ctx.meter is not None:
             ctx.meter.record(flops=3.0 * scanned, nbytes=8.0 * scanned, device="cpu")
+
+    @staticmethod
+    def _local_range(
+        ctx: PipelineContext, snapshots: list[int]
+    ) -> tuple[float, float]:
+        """This rank's (min, max) of the cluster variable.
+
+        When the cubes tile every grid axis exactly, each snapshot is the
+        union of its cubes, so the stored range of every snapshot this rank
+        touches bounds its cubes and every value in it belongs to some
+        rank's cube: the allreduced (min, max) is the one a scan gives.
+        Any remainder the tiling drops could hold the extremes, so then —
+        or when any range is unrecorded — scan the cubes instead.
+        """
+        if all(g % c == 0 for g, c in zip(ctx.source.grid_shape, ctx.cube_shape)):
+            ranges = [ctx.source.stored_range(ctx.cluster_var, s) for s in snapshots]
+            if None not in ranges:
+                return (min((lo for lo, _ in ranges), default=np.inf),
+                        max((hi for _, hi in ranges), default=-np.inf))
+        local_min, local_max = np.inf, -np.inf
+        for _, vals in iter_cube_values(ctx):
+            local_min = min(local_min, float(vals.min()))
+            local_max = max(local_max, float(vals.max()))
+        return local_min, local_max
 
 
 class CubeSelectStage:

@@ -29,6 +29,7 @@ import os
 
 import numpy as np
 
+from repro.data.npyfile import NpzFile
 from repro.energy.meter import EnergyMeter
 from repro.nn.optim import ReduceLROnPlateau
 from repro.utils.log import get_logger
@@ -401,5 +402,4 @@ def peek_checkpoint(path: str) -> dict:
         path = path + ".npz"
     if not os.path.isfile(path):
         raise FileNotFoundError(f"no checkpoint at {path!r}")
-    with np.load(path, allow_pickle=False) as data:
-        return json.loads(str(data[META_KEY]))
+    return json.loads(str(NpzFile(path)[META_KEY]))

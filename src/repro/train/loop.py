@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.data.npyfile import NpzFile
 from repro.energy.meter import EnergyMeter
 from repro.nn.amp import autocast
 from repro.nn.ddp import DistributedDataParallel
@@ -328,9 +329,9 @@ class TrainLoop:
             path = path + ".npz"
         if not os.path.isfile(path):
             raise FileNotFoundError(f"no checkpoint at {path!r}")
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data[_META_KEY]))
-            arrays = {k: data[k] for k in data.files if k != _META_KEY}
+        data = NpzFile(path)
+        meta = json.loads(str(data[_META_KEY]))
+        arrays = {k: data[k] for k in data if k != _META_KEY}
         if meta.get("version") != _CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {meta.get('version')!r}"

@@ -1,7 +1,9 @@
 """Shard-codec registry tests: every codec round-trips byte-identically,
 stream subsampling is codec-invariant per (seed, nranks) — owned shards
-included — lazy decode keeps real Mapping semantics, and a persisted
-derived cluster variable reads back bit-identically to deriving it."""
+included — lazy decode keeps real Mapping semantics, a persisted derived
+cluster variable reads back bit-identically to deriving it, and batch
+phase 1 gives the same results from the manifest's per-shard ranges as from
+scanning."""
 
 import dataclasses
 import hashlib
@@ -13,6 +15,7 @@ import pytest
 
 from repro.data import (
     InMemorySource,
+    OwnedShardLayout,
     RemoteTieredSource,
     ShardDirSource,
     build_dataset,
@@ -24,8 +27,11 @@ from repro.data import (
     save_dataset,
 )
 from repro.data.codecs import ShardCodec
+from repro.data.dataset import TurbulenceDataset
 from repro.data.store import MANIFEST, read_manifest, write_manifest
+from repro.parallel.comm import SerialComm
 from repro.sampling import subsample
+from repro.sampling.stages import CubeIndexStage, Phase1SummarizeStage, PipelineContext
 from repro.sim.fields import DERIVED_VARIABLES, FlowField
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 
@@ -67,6 +73,27 @@ def legacy_dirs(sst, tmp_path_factory):
         path = str(tmp_path_factory.mktemp(f"legacy_{codec}"))
         save_legacy_format(sst, path, codec)
         dirs[codec] = path
+    return dirs
+
+
+def without_ranges(path, dest):
+    """`path` as save_dataset wrote it before manifests recorded per-shard
+    value ranges: the same shards (hardlinked), the manifest key removed."""
+    manifest = read_manifest(path)
+    codec = get_codec(manifest["codec"])
+    for i in range(manifest["n_snapshots"]):
+        codec.link_shard(path, i, dest, i)
+    del manifest["value_ranges"]
+    write_manifest(dest, manifest)
+
+
+@pytest.fixture(scope="module")
+def rangeless_dirs(codec_dirs, tmp_path_factory):
+    """Per codec, the same directory without the manifest's value ranges."""
+    dirs = {}
+    for codec, path in codec_dirs.items():
+        dirs[codec] = str(tmp_path_factory.mktemp(f"rangeless_{codec}"))
+        without_ranges(path, dirs[codec])
     return dirs
 
 
@@ -378,6 +405,118 @@ class TestPersistedDerived:
                     finally:
                         src.close()
                     assert got == want, (codec, spec)
+
+
+def outcome(res):
+    """What a batch run must reproduce byte for byte: the points, the
+    virtual time and the energy."""
+    return points_digest(res), res.virtual_time.hex(), res.energy.total_energy.hex()
+
+
+def phase1(source, case):
+    """Run cube indexing and phase 1 alone on one serial rank."""
+    ctx = PipelineContext(comm=SerialComm(), source=source, config=case)
+    CubeIndexStage().run(ctx)
+    Phase1SummarizeStage().run(ctx)
+    return ctx
+
+
+class TestStoredRanges:
+    """save_dataset records each shard's cluster-variable (min, max) in the
+    manifest; batch phase 1 takes its histogram range from there instead
+    of a first decode pass, with byte-identical results."""
+
+    @pytest.mark.parametrize("codec", ALL_CODECS)
+    def test_manifest_records_each_shard_range(self, sst, codec_dirs, codec):
+        ranges = read_manifest(codec_dirs[codec])["value_ranges"]
+        assert list(ranges) == ["pv"]
+        src = ShardDirSource(codec_dirs[codec])
+        for i, snap in enumerate(sst.snapshots):
+            pv = derive(snap)
+            assert ranges["pv"][i] == [float(pv.min()), float(pv.max())]
+            assert src.stored_range("pv", i) == (float(pv.min()), float(pv.max()))
+        assert src.stored_range("u", 0) is None
+        with pytest.raises(IndexError):
+            src.stored_range("pv", sst.n_snapshots)
+        # Stream sampling never sees them: its histogram edges stay put.
+        assert src.value_range_hint("pv") is None
+
+    @pytest.mark.parametrize("seed,nranks", [(0, 1), (3, 2)])
+    def test_batch_identical_with_without_ranges_and_in_memory(
+        self, sst, codec_dirs, rangeless_dirs, seed, nranks
+    ):
+        fresh = dataclasses.replace(sst, snapshots=[
+            FlowField(s.variables, s.time, s.meta) for s in sst.snapshots])
+        want = outcome(subsample(InMemorySource(fresh), stream_case(),
+                                 nranks=nranks, seed=seed))
+        for codec in ALL_CODECS:
+            for dirs in (codec_dirs, rangeless_dirs):
+                for spec in (dirs[codec], f"remote://{dirs[codec]}?max_staged=2"):
+                    src = open_source(spec, max_cached=2)
+                    try:
+                        got = outcome(subsample(src, stream_case(), nranks=nranks,
+                                                seed=seed))
+                    finally:
+                        src.close()
+                    assert got == want, (codec, spec)
+
+    @pytest.mark.parametrize("codec", ALL_CODECS)
+    def test_ranges_replace_the_first_pass(self, sst, codec_dirs, rangeless_dirs, codec):
+        """A 1-shard LRU decodes every snapshot once in cube indexing and
+        phase 1 with ranges, twice without; the edges are the same."""
+        edges, misses = {}, {}
+        for name, dirs in (("ranges", codec_dirs), ("scan", rangeless_dirs)):
+            src = ShardDirSource(dirs[codec], max_cached=1)
+            edges[name] = phase1(src, stream_case()).edges.tobytes()
+            misses[name] = src.cache_info()["counters"]["misses"]
+        assert misses == {"ranges": sst.n_snapshots, "scan": 2 * sst.n_snapshots}
+        assert edges["ranges"] == edges["scan"]
+
+    def test_cubes_that_leave_a_remainder_scan(self, tmp_path):
+        """A tiling that drops remainder cells must scan: the remainder can
+        hold the extremes, which no cube (and so no scan) sees."""
+        rng = np.random.default_rng(0)
+        snaps = []
+        for t in range(3):
+            c = rng.standard_normal((16, 16, 12))
+            c[..., 8:] *= 10.0  # extremes in the z >= 8 remainder of 8-cubes
+            snaps.append(FlowField({"c": c, "u": rng.standard_normal(c.shape)}, float(t)))
+        ds = TurbulenceDataset(label="T", snapshots=snaps, input_vars=["u"],
+                               output_vars=["u"], cluster_var="c")
+        save_dataset(ds, str(tmp_path))
+        stored = max(hi for _, hi in read_manifest(str(tmp_path))["value_ranges"]["c"])
+        for z, tiles in ((8, False), (4, True)):
+            case = stream_case(num_hypercubes=2, nzsl=z)
+            want = phase1(InMemorySource(ds), case).edges
+            got = phase1(ShardDirSource(str(tmp_path)), case).edges
+            assert got.tobytes() == want.tobytes(), z
+            assert (got[-1] == stored) == tiles, z
+
+    def test_owned_layout_slices_ranges_per_rank(self, sst, codec_dirs):
+        base = ShardDirSource(codec_dirs["npz"])
+        layout = OwnedShardLayout.build(codec_dirs["npz"], 4)
+        try:
+            assert layout.spans == [(0, 2), (2, 4), (4, 5), (5, 6)]
+            for r, (lo, hi) in enumerate(layout.spans):
+                src = ShardDirSource(layout.rank_dir(r))
+                assert [src.stored_range("pv", j) for j in range(hi - lo)] == [
+                    base.stored_range("pv", i) for i in range(lo, hi)]
+        finally:
+            layout.remove()
+
+    def test_mismatched_range_count_is_refused(self, codec_dirs, tmp_path):
+        without_ranges(codec_dirs["raw"], str(tmp_path))
+        manifest = read_manifest(str(tmp_path))
+        manifest["value_ranges"] = {"pv": [[0.0, 1.0]]}
+        write_manifest(str(tmp_path), manifest)
+        with pytest.raises(ValueError, match="lists 1 'pv' ranges for 6 shards"):
+            ShardDirSource(str(tmp_path))
+
+    def test_non_finite_values_record_no_ranges(self, tmp_path):
+        tc2d = build_dataset("TC2D", scale=0.25, rng=0)  # stored "c"
+        tc2d.snapshots[-1].variables[tc2d.cluster_var][0, 0] = np.nan
+        save_dataset(tc2d, str(tmp_path))
+        assert "value_ranges" not in read_manifest(str(tmp_path))
 
 
 class TestAtomicManifest:

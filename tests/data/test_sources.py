@@ -651,6 +651,46 @@ class TestRemoteTieredSource:
         finally:
             src.close()
 
+    def test_threaded_held_reads_survive_staging_churn(self, shard_dir, sst):
+        """Four threads (more than the cores) share a 1-shard staging tier
+        under a 10 µs switch interval: each holds an undecoded snapshot
+        while the others' fetches evict its shard, then reads a stored or
+        persisted derived member.  Every deferred read re-stages and pins
+        its shard, so none sees its files vanish."""
+        import sys
+        import threading
+
+        src = self._remote(shard_dir, max_staged=1, max_cached=1)
+        n, errors = sst.n_snapshots, []
+        want = {(i, var): np.asarray(sst.snapshots[i].get(var))
+                for i in range(n) for var in ("u", "v", "w", "pv")}
+
+        def read(k: int, var: str) -> None:
+            try:
+                for r in range(40):
+                    i = (k + r) % n
+                    held = src.snapshot(i)
+                    src.snapshot((i + 1) % n)
+                    assert np.array_equal(held.get(var), want[i, var]), (i, var)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=read, args=(k, var), daemon=True)
+                   for k, var in enumerate(("u", "v", "w", "pv"))]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            src.close()
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, repr(errors[0])
+        assert src.cache_info()["counters"]["staged_evictions"] > 0
+
     def test_owned_staging_dir_removed_on_close(self, shard_dir):
         import os
 
