@@ -22,6 +22,9 @@ import numpy as np
 __all__ = [
     "shannon_entropy",
     "kl_divergence",
+    "check_bin_count",
+    "cube_moments",
+    "group_distributions",
     "cluster_value_distributions",
     "entropy_adjacency",
     "node_strengths",
@@ -70,6 +73,36 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float((p[nz] * np.log(p[nz] / q[nz])).sum())
 
 
+def check_bin_count(name: str, bins) -> None:
+    """Raise ``ValueError`` naming `name` unless `bins` is an int >= 1."""
+    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {bins!r}")
+
+
+def cube_moments(block: np.ndarray) -> np.ndarray:
+    """(mean, std, skewness, kurtosis) of each row of a (cubes, values) block,
+    bitwise the 1-D computation per row: the denominators stay per-cube
+    scalar powers, as an array ``**`` can differ in the last bit."""
+    mean, std = block.mean(axis=1), block.std(axis=1)
+    centred = block - mean[:, None]
+    skew = [m3 / max(s**3, 1e-12) for m3, s in zip((centred**3).mean(axis=1), std)]
+    kurt = [m4 / max(s**4, 1e-12) for m4, s in zip((centred**4).mean(axis=1), std)]
+    return np.column_stack([mean, std, skew, kurt])
+
+
+def group_distributions(values, groups, n_groups: int, edges: np.ndarray) -> np.ndarray:
+    """(n_groups, bins) row-normalized histograms of `values` per group, with
+    counts equal to ``np.histogram(values[groups == g], bins=edges)``'s from
+    one ``searchsorted`` and one ``bincount`` (`groups` broadcasts against
+    `values`); a group with no count gets a uniform row."""
+    bins = len(edges) - 1
+    idx = np.searchsorted(edges[:-1], values, side="right") - 1
+    keep = (idx >= 0) & (values <= edges[-1]) & (groups >= 0) & (groups < n_groups)
+    counts = np.bincount((groups * bins + idx)[keep], minlength=n_groups * bins).reshape(-1, bins)
+    total = counts.sum(axis=1, keepdims=True)
+    return np.divide(counts, total, out=np.full(counts.shape, 1.0 / bins), where=total > 0)
+
+
 def cluster_value_distributions(
     values: np.ndarray, labels: np.ndarray, n_clusters: int, bins: int = 100
 ) -> np.ndarray:
@@ -87,17 +120,7 @@ def cluster_value_distributions(
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         hi = lo + 1.0
-    edges = np.linspace(lo, hi, bins + 1)
-    out = np.empty((n_clusters, bins), dtype=np.float64)
-    for c in range(n_clusters):
-        member = values[labels == c]
-        if member.size == 0:
-            out[c] = 1.0 / bins
-            continue
-        counts, _ = np.histogram(member, bins=edges)
-        total = counts.sum()
-        out[c] = counts / total if total > 0 else 1.0 / bins
-    return out
+    return group_distributions(values, labels, n_clusters, np.linspace(lo, hi, bins + 1))
 
 
 def entropy_adjacency(distributions: np.ndarray) -> np.ndarray:

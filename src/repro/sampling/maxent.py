@@ -26,6 +26,7 @@ from repro.energy.meter import account
 from repro.sampling.base import Sampler, register_sampler
 from repro.sampling.entropy import (
     cluster_value_distributions,
+    cube_moments,
     entropy_adjacency,
     node_strengths,
     strength_weights,
@@ -107,17 +108,6 @@ class MaxEntSampler(Sampler):
         return np.concatenate(chosen)
 
 
-def _cube_summary(values: np.ndarray, n_moments: int = 4) -> np.ndarray:
-    """Moment summary of one cube's cluster-variable field."""
-    flat = values.reshape(-1)
-    mean = flat.mean()
-    std = flat.std()
-    centred = flat - mean
-    skew = (centred**3).mean() / max(std**3, 1e-12)
-    kurt = (centred**4).mean() / max(std**4, 1e-12)
-    return np.array([mean, std, skew, kurt][:n_moments])
-
-
 def select_hypercubes_maxent(
     cube_values: list[np.ndarray],
     num_hypercubes: int,
@@ -138,7 +128,7 @@ def select_hypercubes_maxent(
         raise ValueError(f"num_hypercubes must be in [1, {n_cubes}], got {num_hypercubes}")
     rng = resolve_rng(rng)
 
-    summaries = np.stack([_cube_summary(v) for v in cube_values])
+    summaries = np.concatenate([cube_moments(v.reshape(1, -1)) for v in cube_values])
     account(flops=float(sum(v.size for v in cube_values)), device="cpu")
     k = min(num_clusters, max(2, n_cubes // 2), n_cubes)
     km = MiniBatchKMeans(n_clusters=k, batch_size=min(256, n_cubes), rng=rng).fit(summaries)
@@ -147,9 +137,7 @@ def select_hypercubes_maxent(
 
     # Distribution per cube cluster: pooled histogram of member cubes' values.
     pooled = np.concatenate([v.reshape(-1) for v in cube_values])
-    pooled_labels = np.concatenate(
-        [np.full(v.size, labels[i]) for i, v in enumerate(cube_values)]
-    )
+    pooled_labels = np.repeat(labels, [v.size for v in cube_values])
     weights_by_cluster = maxent_cluster_weights(pooled, pooled_labels, k_eff, bins=bins)
 
     # Entropy-weighted random sampling of cubes: each cube inherits its

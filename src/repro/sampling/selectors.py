@@ -29,7 +29,11 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.cluster.kmeans import MiniBatchKMeans
 from repro.energy.meter import account
+from repro.sampling.entropy import (
+    entropy_adjacency, node_strengths, shannon_entropy, strength_weights,
+)
 from repro.utils.rng import resolve_rng
 
 __all__ = [
@@ -162,9 +166,6 @@ class MaxEntCubeSelector(CubeSelector):
     cost_per_point = 4.0
 
     def select_cubes(self, summaries, histograms, n, num_clusters, rng):
-        from repro.cluster.kmeans import MiniBatchKMeans
-        from repro.sampling.entropy import entropy_adjacency, node_strengths, strength_weights
-
         n_cubes = summaries.shape[0]
         k = min(num_clusters, max(2, n_cubes // 2), n_cubes)
         km = MiniBatchKMeans(n_clusters=k, batch_size=min(256, n_cubes), rng=rng).fit(summaries)
@@ -205,8 +206,6 @@ class EntropyCubeSelector(CubeSelector):
         self.floor = floor
 
     def select_cubes(self, summaries, histograms, n, num_clusters, rng):
-        from repro.sampling.entropy import shannon_entropy
-
         n_cubes = histograms.shape[0]
         ent = np.array([shannon_entropy(h) for h in histograms], dtype=np.float64)
         weights = np.power(ent + self.floor, 1.0 / self.temperature)

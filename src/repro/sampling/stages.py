@@ -8,7 +8,7 @@ protocol and communicating through a shared mutable :class:`PipelineContext`:
 :class:`CubeIndexStage`     enumerate the global cube tiling and take this
                             rank's block (no data touched yet)
 :class:`Phase1SummarizeStage`  agree on global histogram edges, compute
-                            per-cube moments + histograms (phase 1 stats)
+                            per-cube moments + histograms in per-snapshot blocks
 :class:`CubeSelectStage`    gather stats to rank 0, run the configured
                             :class:`~repro.sampling.selectors.CubeSelector`,
                             broadcast the selected cube ids
@@ -41,6 +41,7 @@ touching any cost table.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import Protocol, runtime_checkable
@@ -55,6 +56,7 @@ from repro.energy.meter import EnergyMeter
 from repro.parallel.comm import Communicator
 from repro.parallel.partition import block_bounds
 from repro.sampling.base import Sampler, get_sampler
+from repro.sampling.entropy import check_bin_count, cube_moments, group_distributions
 from repro.sampling.selectors import get_selector
 from repro.utils.config import CaseConfig
 from repro.utils.rng import spawn_rngs
@@ -64,7 +66,6 @@ __all__ = [
     "SubsampleResult",
     "PipelineContext",
     "Stage",
-    "iter_cube_values",
     "CubeIndexStage",
     "Phase1SummarizeStage",
     "CubeSelectStage",
@@ -75,6 +76,9 @@ __all__ = [
 
 #: work units per point for ``method='full'`` (dense copy, no sampler object).
 FULL_METHOD_COST = 0.5
+
+#: values per phase-1 block, at least one cube (512 KiB of float64), like k-means' ``_BLOCK``
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -140,6 +144,7 @@ class PipelineContext:
     total_scanned: int = 0
 
     def __post_init__(self) -> None:
+        check_bin_count("hist_bins", self.hist_bins)
         sub = self.config.subsample
         self.cube_shape = sub.hypercube_shape[: self.source.ndim]
         self.cluster_var = self.source.cluster_var
@@ -161,22 +166,18 @@ class Stage(Protocol):
     def run(self, ctx: PipelineContext) -> None: ...
 
 
-def iter_cube_values(ctx: PipelineContext):
-    """Yield ``(position, cluster-variable block)`` for this rank's cubes.
-
-    Cubes arrive in (snapshot, origin) order, so each snapshot is fetched
-    from the source exactly once per contiguous run — chunk-by-chunk
-    consumption with residency bounded by the source, never a resident list
-    of per-cube values.
-    """
-    current = -1
-    snap = None
-    for i, (s, origin) in enumerate(ctx.my_cubes):
-        if s != current:
-            snap = ctx.source.snapshot(s)
-            current = s
-        slicer = tuple(slice(o, o + c) for o, c in zip(origin, ctx.cube_shape))
-        yield i, snap.get(ctx.cluster_var)[slicer]
+def _cube_blocks(ctx: PipelineContext):
+    """This rank's cubes in order, as ``(cubes, cube values)`` blocks of their
+    cluster-variable values: each snapshot is fetched once per contiguous
+    run, and a run splits into blocks of at most ``_BLOCK`` values."""
+    shape = ctx.cube_shape
+    per_block = max(1, _BLOCK // int(np.prod(shape)))
+    for s, run in itertools.groupby(ctx.my_cubes, key=lambda cube: cube[0]):
+        values = ctx.source.snapshot(s).get(ctx.cluster_var)
+        cubes = [values[tuple(slice(o, o + c) for o, c in zip(origin, shape))] for _, origin in run]
+        for lo in range(0, len(cubes), per_block):
+            block = np.stack(cubes[lo:lo + per_block])
+            yield block.reshape(len(block), -1)
 
 
 class CubeIndexStage:
@@ -203,10 +204,11 @@ class Phase1SummarizeStage:
     The edges span the global (min, max) of the cluster variable, agreed by
     a min/max reduction.  Each rank's share of it comes from the per-shard
     ranges the source recorded at ingest when it has them and the cube
-    tiling covers the grid; otherwise from a first streaming pass over its
-    cubes.  A second (or only) pass fills the per-cube moments and
-    histograms.  No pass materializes more than one snapshot's worth of
-    values at a time.
+    tiling covers the grid; otherwise from a first pass over its cubes.  A
+    second (or only) pass fills the per-cube moments and histograms.  Both
+    walk :func:`_cube_blocks`; axis-1 reductions give a block's moments and
+    one bin-index pass plus one ``bincount`` its histograms, bit for bit
+    what a per-cube ``mean``/``std``/``np.histogram`` loop gives.
     """
 
     name = "phase1-summarize"
@@ -226,30 +228,20 @@ class Phase1SummarizeStage:
 
         summaries = np.zeros((len(ctx.my_cubes), 4))
         histograms = np.zeros((len(ctx.my_cubes), bins))
-        scanned = 0
-        for i, vals in iter_cube_values(ctx):
-            flat = vals.reshape(-1)
-            scanned += flat.size
-            mean, std = flat.mean(), flat.std()
-            centred = flat - mean
-            summaries[i] = [
-                mean,
-                std,
-                (centred**3).mean() / max(std**3, 1e-12),
-                (centred**4).mean() / max(std**4, 1e-12),
-            ]
-            counts, _ = np.histogram(flat, bins=ctx.edges)
-            total = counts.sum()
-            histograms[i] = counts / total if total > 0 else 1.0 / bins
+        at = 0
+        for block in _cube_blocks(ctx):
+            m = len(block)
+            summaries[at:at + m] = cube_moments(block)
+            histograms[at:at + m] = group_distributions(block, np.arange(m)[:, None], m, ctx.edges)
+            at += m
+        scanned = at * int(np.prod(ctx.cube_shape))
         ctx.summaries, ctx.histograms, ctx.scanned = summaries, histograms, scanned
         comm.account_compute(float(scanned))
         if ctx.meter is not None:
             ctx.meter.record(flops=3.0 * scanned, nbytes=8.0 * scanned, device="cpu")
 
     @staticmethod
-    def _local_range(
-        ctx: PipelineContext, snapshots: list[int]
-    ) -> tuple[float, float]:
+    def _local_range(ctx: PipelineContext, snapshots: list[int]) -> tuple[float, float]:
         """This rank's (min, max) of the cluster variable.
 
         When the cubes tile every grid axis exactly, each snapshot is the
@@ -265,9 +257,9 @@ class Phase1SummarizeStage:
                 return (min((lo for lo, _ in ranges), default=np.inf),
                         max((hi for _, hi in ranges), default=-np.inf))
         local_min, local_max = np.inf, -np.inf
-        for _, vals in iter_cube_values(ctx):
-            local_min = min(local_min, float(vals.min()))
-            local_max = max(local_max, float(vals.max()))
+        for block in _cube_blocks(ctx):
+            local_min = min(local_min, float(block.min()))
+            local_max = max(local_max, float(block.max()))
         return local_min, local_max
 
 

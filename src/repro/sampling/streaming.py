@@ -69,6 +69,7 @@ from repro.sampling.base import (
     stream_sampler_cls,
 )
 from repro.sampling.entropy import (
+    check_bin_count,
     entropy_adjacency,
     node_strengths,
     strength_weights,
@@ -369,6 +370,7 @@ class StreamingMaxEnt(StreamSampler):
             raise ValueError("n_samples must be >= 1")
         if n_clusters < 2:
             raise ValueError("n_clusters must be >= 2")
+        check_bin_count("bins", bins)
         if value_range is None or not value_range[1] > value_range[0]:
             raise ValueError("value_range must be increasing")
         self.n_samples = n_samples

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sampling.entropy import kl_divergence
+from repro.sampling.entropy import group_distributions, kl_divergence
 from repro.utils.rng import resolve_rng
 
 __all__ = ["select_snapshots", "js_divergence", "snapshot_histograms"]
@@ -40,12 +40,8 @@ def snapshot_histograms(
     hi = max(v.max() for v in values)
     if lo == hi:
         hi = lo + 1.0
-    out = np.empty((len(values), bins))
-    for i, v in enumerate(values):
-        counts, _ = np.histogram(v, bins=bins, range=(lo, hi))
-        total = counts.sum()
-        out[i] = counts / total if total > 0 else 1.0 / bins
-    return out
+    edges = np.linspace(lo, hi, bins + 1)
+    return np.concatenate([group_distributions(v, 0, 1, edges) for v in values])
 
 
 def select_snapshots(
