@@ -21,7 +21,7 @@ import os
 
 import numpy as np
 
-from repro.data import ShardedNpzSource, open_source, save_dataset
+from repro.data import ShardDirSource, open_source, save_dataset
 from repro.metrics import find_knee, speedup_series
 from repro.parallel.perfmodel import PerfModel
 from repro.sampling import subsample
@@ -146,7 +146,7 @@ def test_fig7_streaming_multirank(benchmark, sst_p1f4_dataset, tmp_path):
 
         times, cache_infos = [], []
         for p in STREAM_RANKS:
-            source = ShardedNpzSource(str(shard_dir), max_cached=4, prefetch=2)
+            source = ShardDirSource(str(shard_dir), max_cached=4, prefetch=2)
             # Warm the background decoder before the producers start, so
             # the first shard access is a prefetch hit by construction
             # (otherwise fast consumer decodes can win every insert race
@@ -208,7 +208,7 @@ def test_fig7_streaming_multirank(benchmark, sst_p1f4_dataset, tmp_path):
 def test_fig7_owned_vs_shared_io(benchmark, sst_p1f4_dataset, tmp_path):
     """Owned-shard vs shared-cache I/O for the multi-producer stream.
 
-    Shared mode routes every rank through one ShardedNpzSource LRU (lock
+    Shared mode routes every rank through one ShardDirSource LRU (lock
     contention, cross-rank evictions); owned mode gives each rank a private
     source over a disjoint shard set (OwnedShardLayout).  Reports the
     virtual + wall makespan of both and the per-rank cache counters that
@@ -228,7 +228,7 @@ def test_fig7_owned_vs_shared_io(benchmark, sst_p1f4_dataset, tmp_path):
     def run():
         out = {}
         for mode in ("shared", "owned"):
-            source = ShardedNpzSource(str(shard_dir), max_cached=2)
+            source = ShardDirSource(str(shard_dir), max_cached=2)
             t0 = _time.perf_counter()
             res = subsample(source, case, nranks=ranks, seed=0, model=MODEL,
                             mode="stream", owned_shards=(mode == "owned"))
@@ -313,7 +313,7 @@ def test_fig7_wallclock_backends(benchmark, sst_p1f100_dataset, tmp_path,
         entries, samples = [], {}
         for bk in ("thread", "process"):
             for p in WALL_RANKS:
-                source = ShardedNpzSource(str(shard_dir), max_cached=4)
+                source = ShardDirSource(str(shard_dir), max_cached=4)
                 t0 = _time.perf_counter()
                 res = subsample(source, case, nranks=p, seed=0, model=MODEL,
                                 mode="stream", backend=bk)

@@ -36,14 +36,11 @@ from repro.data.sources import (
     SnapshotSource,
     InMemorySource,
     ShardDirSource,
-    ShardedNpzSource,
     RemoteTieredSource,
     SimulationSource,
     PartitionedSource,
     CacheCounters,
-    CacheInfo,
     aggregate_cache_info,
-    as_source,
     open_source,
 )
 from repro.data.loaders import load_dataset, save_dataset, stream_dataset
@@ -66,14 +63,11 @@ __all__ = [
     "SnapshotSource",
     "InMemorySource",
     "ShardDirSource",
-    "ShardedNpzSource",
     "RemoteTieredSource",
     "SimulationSource",
     "PartitionedSource",
     "CacheCounters",
-    "CacheInfo",
     "aggregate_cache_info",
-    "as_source",
     "open_source",
     "load_dataset",
     "save_dataset",

@@ -17,7 +17,7 @@ implementations cover the ingestion spectrum:
   :mod:`~repro.data.codecs` layout (auto-detected from the manifest),
   keeping at most ``max_cached`` decoded shards in a thread-safe LRU
   (out-of-core: the working set is bounded no matter how many shards the
-  dataset has).  :class:`ShardedNpzSource` is the back-compat name.
+  dataset has).
 * :class:`RemoteTieredSource` — a :class:`ShardDirSource` whose shard
   directory lives behind a simulated object store: shards are staged to a
   bounded local-disk tier through a latency/bandwidth cost model before
@@ -46,7 +46,6 @@ it resolves a source object (identity), a ``TurbulenceDataset``
 (→ ``InMemorySource``), a shard-directory path (→ ``ShardDirSource``,
 codec auto-detected), or a spec string like ``raw+dir:///data/shards`` /
 ``remote:///data/shards?latency_s=0.01`` to a :class:`SnapshotSource`.
-:func:`as_source` remains as the historical coercion name.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ import shutil
 import tempfile
 import threading
 import urllib.parse
-import warnings
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -76,14 +74,11 @@ __all__ = [
     "SnapshotSource",
     "InMemorySource",
     "ShardDirSource",
-    "ShardedNpzSource",
     "RemoteTieredSource",
     "SimulationSource",
     "PartitionedSource",
     "CacheCounters",
-    "CacheInfo",
     "open_source",
-    "as_source",
     "aggregate_cache_info",
 ]
 
@@ -180,7 +175,7 @@ class SnapshotSource(abc.ABC):
         """Advisory hint that `indices` will be fetched soon.
 
         Default is a no-op; sources with asynchronous readers (e.g.
-        :class:`ShardedNpzSource` with ``prefetch > 0``) start loading the
+        :class:`ShardDirSource` with ``prefetch > 0``) start loading the
         named snapshots in the background so the caller's next
         :meth:`snapshot` overlaps I/O with its own compute.  Never required
         for correctness.
@@ -300,45 +295,6 @@ class CacheCounters:
     staged_evictions: int = 0
 
 
-class CacheInfo(dict):
-    """The schema ``cache_info()`` returns (a dict, schema version 2)::
-
-        {
-          "schema": 2,
-          "codec": "npz" | "raw" | "chunked",
-          "tier": "local" | "remote",
-          "counters": {...CacheCounters fields...},   # additive across ranks
-          "gauges": {"resident", "max_resident", "max_cached",
-                     "prefetch_depth", ...per-tier gauges...},
-        }
-
-    Counters are events (summable across disjoint caches); gauges are
-    levels and configuration, which :func:`aggregate_cache_info`
-    deliberately never sums.  The pre-schema flat keys (``info["hits"]``,
-    ``info["max_resident"]``, ...) keep working through a deprecation
-    shim: bracket access and :meth:`get` fall back to the matching
-    counter/gauge with a :class:`DeprecationWarning`.
-    """
-
-    def __missing__(self, key):
-        for section in ("counters", "gauges"):
-            values = dict.get(self, section)
-            if isinstance(values, dict) and key in values:
-                warnings.warn(
-                    f"flat cache_info()[{key!r}] is deprecated; read "
-                    f"cache_info()[{section!r}][{key!r}] (schema 2)",
-                    DeprecationWarning, stacklevel=2,
-                )
-                return values[key]
-        raise KeyError(key)
-
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-
 class ShardDirSource(SnapshotSource):
     """Out-of-core source over per-snapshot shards on disk, any codec.
 
@@ -351,7 +307,7 @@ class ShardDirSource(SnapshotSource):
     in a thread-safe LRU holding at most ``max_cached`` snapshots, so
     subsampling an N-shard dataset never resides more than ``max_cached``
     shards in memory regardless of N.  :meth:`cache_info` exposes the
-    counters the boundedness tests assert on (see :class:`CacheInfo`).
+    counters the boundedness tests assert on.
 
     ``prefetch=N`` starts one background thread that eagerly decodes up to
     ``N`` shards ahead of every access (and whatever :meth:`prefetch` names
@@ -616,27 +572,36 @@ class ShardDirSource(SnapshotSource):
         """Extra per-tier gauges for :meth:`cache_info` (lock held)."""
         return {}
 
-    def cache_info(self) -> CacheInfo:
-        """Cache/tier counters in the documented :class:`CacheInfo` schema."""
+    def cache_info(self) -> dict:
+        """Cache/tier counters as a schema-2 dict::
+
+            {
+              "schema": 2,
+              "codec": "npz" | "raw" | "chunked",
+              "tier": "local" | "remote",
+              "counters": {...CacheCounters fields...},   # additive across ranks
+              "gauges": {"resident", "max_resident", "max_cached",
+                         "prefetch_depth", ...per-tier gauges...},
+            }
+
+        Counters are events (summable across disjoint caches); gauges are
+        levels and configuration, which :func:`aggregate_cache_info`
+        deliberately never sums.
+        """
         with self._lock:
-            return CacheInfo(
-                schema=2,
-                codec=self.codec.name,
-                tier=self.tier,
-                counters=dataclasses.asdict(self._stats),
-                gauges={
+            return {
+                "schema": 2,
+                "codec": self.codec.name,
+                "tier": self.tier,
+                "counters": dataclasses.asdict(self._stats),
+                "gauges": {
                     "resident": len(self._cache),
                     "max_resident": self._max_resident,
                     "max_cached": self.max_cached,
                     "prefetch_depth": self.prefetch_depth,
                     **self._tier_gauges(),
                 },
-            )
-
-
-class ShardedNpzSource(ShardDirSource):
-    """Back-compat name for :class:`ShardDirSource` (which now auto-detects
-    any registered codec, npz included)."""
+            }
 
 
 class RemoteTieredSource(ShardDirSource):
@@ -1037,7 +1002,8 @@ def aggregate_cache_info(infos: Iterable[dict | None]) -> dict:
     nothing.  ``decodes`` is the derived total shard-decode count
     (``misses + prefetched`` — each a real decode), ``ranks`` counts the
     caches aggregated, and ``None`` entries (ranks without a shard-backed
-    source) are skipped.  Accepts schema-2 dicts and legacy flat dicts.
+    source) are skipped.  Every info must be a schema-2 dict (see
+    :meth:`ShardDirSource.cache_info`); anything else raises.
     """
     names = [f.name for f in dataclasses.fields(CacheCounters)]
     total: dict = {"ranks": 0, **{k: 0 for k in names}}
@@ -1045,11 +1011,9 @@ def aggregate_cache_info(infos: Iterable[dict | None]) -> dict:
         if info is None:
             continue
         total["ranks"] += 1
-        # dict.__contains__ / dict.get keep legacy flat dicts working
-        # without tripping the CacheInfo deprecation shim.
-        counters = info["counters"] if "counters" in info else info
+        counters = info["counters"]
         for key in names:
-            total[key] += dict.get(counters, key, 0)
+            total[key] += counters[key]
     total["decodes"] = total["misses"] + total["prefetched"]
     return total
 
@@ -1149,12 +1113,3 @@ def open_source(
             f"(spec {os.fspath(spec)!r}); drop the codec prefix to auto-detect"
         )
     return source
-
-
-def as_source(data) -> SnapshotSource:
-    """Coerce the accepted ingestion kinds to a :class:`SnapshotSource`.
-
-    Thin wrapper over :func:`open_source` kept for back-compat; new code
-    should call ``open_source``, which also understands spec strings.
-    """
-    return open_source(data)

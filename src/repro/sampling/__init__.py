@@ -45,10 +45,8 @@ consumes a :class:`~repro.data.sources.SnapshotSource` chunk-by-chunk, so
 the same pipeline runs batch (in-memory), out-of-core (sharded npz), and
 in-situ (simulation) ingestion — :func:`subsample` is the single entry
 point for all three, with ``mode="stream"`` switching to the single-pass
-streaming samplers.  The historical entry points :func:`run_subsample` /
-:func:`subsample` remain as thin wrappers, and
-:class:`repro.api.Experiment` is the high-level facade over the whole
-subsample → train → report workflow.  Temporal snapshot selection (§4.3)
+streaming samplers.  :class:`repro.api.Experiment` is the high-level
+facade over the whole subsample → train → report workflow.  Temporal snapshot selection (§4.3)
 is in :mod:`repro.sampling.temporal`.
 """
 
@@ -101,7 +99,7 @@ from repro.sampling.stages import (
     SubsamplePipeline,
     SubsampleResult,
 )
-from repro.sampling.pipeline import run_subsample, subsample
+from repro.sampling.pipeline import subsample
 from repro.sampling.streaming import (
     ReservoirSampler,
     ReservoirStream,
@@ -152,7 +150,6 @@ __all__ = [
     "GatherStage",
     "SubsamplePipeline",
     "SubsampleResult",
-    "run_subsample",
     "subsample",
     "ReservoirSampler",
     "ReservoirStream",

@@ -33,9 +33,8 @@ phase-2 revisit.
 The stage pipeline itself lives in :mod:`repro.sampling.stages` as
 composable :class:`~repro.sampling.stages.Stage` objects (CubeIndex →
 Phase1Summarize → CubeSelect → PointSample → Gather) driven by
-:class:`~repro.sampling.stages.SubsamplePipeline`; this module keeps the
-historical entry points ``run_subsample`` / ``subsample`` as thin
-seed-for-seed-equivalent wrappers over the default stage list.
+:class:`~repro.sampling.stages.SubsamplePipeline`; :func:`subsample` runs
+its default stage list on every rank.
 
 Each rank meters its own energy (thread-local
 :class:`~repro.energy.meter.EnergyMeter`) and charges compute work to its
@@ -48,30 +47,15 @@ classes, so registered third-party strategies need no cost-table entry.
 from __future__ import annotations
 
 from repro.data.dataset import TurbulenceDataset
-from repro.data.sources import InMemorySource, SimulationSource, SnapshotSource, as_source
+from repro.data.sources import InMemorySource, SnapshotSource, open_source
 from repro.energy.meter import EnergyMeter
-from repro.parallel.comm import Communicator
 from repro.parallel.perfmodel import PerfModel
 from repro.parallel.spmd import run_spmd
+from repro.runspec import check_call
 from repro.sampling.stages import SubsamplePipeline, SubsampleResult
 from repro.utils.config import CaseConfig
 
-__all__ = ["SubsampleResult", "SubsamplePipeline", "run_subsample", "subsample"]
-
-
-def run_subsample(
-    comm: Communicator,
-    data: SnapshotSource | TurbulenceDataset,
-    config: CaseConfig,
-    seed: int = 0,
-    hist_bins: int = 50,
-) -> SubsampleResult:
-    """Execute the two-phase pipeline on one rank of an SPMD run.
-
-    Thin wrapper over the default :class:`SubsamplePipeline` stage list;
-    `data` is any snapshot source or a resident dataset.
-    """
-    return SubsamplePipeline().run(comm, data, config, seed=seed, hist_bins=hist_bins)
+__all__ = ["SubsampleResult", "SubsamplePipeline", "subsample"]
 
 
 def subsample(
@@ -103,6 +87,8 @@ def subsample(
     chooses between reweighting the merge by delivered mass
     (``"reweight"``) and failing the draw (``"raise"``) when a producer
     dies mid-span, and ``fault_hook`` injects such deaths for testing.
+    Invalid combinations fail by the same rules as every other surface
+    (:func:`repro.runspec.check_call`).
 
     ``backend`` applies to both modes and picks the SPMD substrate:
     ``"thread"`` (deterministic virtual-time modeling, the default) or
@@ -110,7 +96,7 @@ def subsample(
     wall-clock parallelism, byte-identical results for the same
     (seed, nranks)).  See :func:`repro.parallel.spmd.run_spmd`.
     """
-    source = as_source(data)
+    source = open_source(data)
     if mode == "stream":
         from repro.sampling.streaming import run_stream_subsample
 
@@ -119,36 +105,18 @@ def subsample(
             owned_shards=owned_shards, on_rank_failure=on_rank_failure,
             fault_hook=fault_hook, backend=backend,
         )
-    if mode != "batch":
-        raise ValueError(f"mode must be 'batch' or 'stream', got {mode!r}")
-    if owned_shards or fault_hook is not None or on_rank_failure != "raise":
-        raise ValueError(
-            "owned_shards / on_rank_failure / fault_hook apply to "
-            "mode='stream' only — the batch pipeline has no partial-stream "
-            "merge to configure"
-        )
-
+    check_call(source, config, mode=mode, nranks=nranks, backend=backend,
+               owned_shards=owned_shards, on_rank_failure=on_rank_failure,
+               fault_hook=fault_hook)
     if isinstance(source, InMemorySource):
         # Materialize derived variables once, outside the parallel region
         # (resident data only — lazy sources stay lazy).
         for snap in source.dataset.snapshots:
             snap.get(source.cluster_var)
-    elif (
-        isinstance(source, SimulationSource)
-        and nranks > 1
-        and source.max_cached < source.n_snapshots
-    ):
-        # Thread ranks interleave snapshot requests; a replay-on-backstep
-        # source would re-run the simulation O(ranks * snapshots) times.
-        raise ValueError(
-            "a SimulationSource with max_cached < n_snapshots would replay "
-            "the simulation for nearly every cross-rank access under "
-            f"nranks={nranks}; use nranks=1, raise max_cached to "
-            f">= {source.n_snapshots}, or shard the stream to disk first"
-        )
 
     spmd = run_spmd(
-        run_subsample, nranks, source, config, seed=seed, model=model, backend=backend
+        SubsamplePipeline().run, nranks, source, config, seed=seed, model=model,
+        backend=backend,
     )
     root: SubsampleResult = spmd[0]
     merged = EnergyMeter()

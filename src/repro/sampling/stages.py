@@ -21,17 +21,16 @@ protocol and communicating through a shared mutable :class:`PipelineContext`:
 
 :class:`SubsamplePipeline` composes the stages (any sequence of stage objects
 can be substituted — cache a stage, skip one, interleave new ones) and wraps
-the run in per-rank energy metering.  ``run_subsample``/``subsample`` in
-:mod:`repro.sampling.pipeline` stay as thin wrappers over the default
-pipeline, so existing call sites and seeds are unaffected.
+the run in per-rank energy metering.  :func:`repro.sampling.pipeline.subsample`
+launches the default pipeline over SPMD ranks.
 
 Since the stream-first redesign every stage consumes a
 :class:`~repro.data.sources.SnapshotSource` chunk-by-chunk — snapshots are
 fetched on demand and never required to be resident together, so the same
 stage list runs over an in-memory dataset (byte-identical to the
 pre-source-API results), an out-of-core shard directory, or an in-situ
-simulation.  ``run``/``run_subsample`` accept a ``TurbulenceDataset`` too
-and coerce it via :func:`~repro.data.sources.as_source`.
+simulation.  ``run`` accepts a ``TurbulenceDataset`` too and coerces it
+via :func:`~repro.data.sources.open_source`.
 
 Method work-unit costs live on the sampler/selector classes themselves
 (``cost_per_point``), so third-party strategies registered via
@@ -51,7 +50,7 @@ import numpy as np
 from repro.data.dataset import TurbulenceDataset
 from repro.data.hypercubes import Hypercube, extract_hypercube, hypercube_origins
 from repro.data.points import PointSet
-from repro.data.sources import SnapshotSource, as_source
+from repro.data.sources import SnapshotSource, open_source
 from repro.energy.meter import EnergyMeter
 from repro.parallel.comm import Communicator
 from repro.parallel.partition import block_bounds
@@ -373,8 +372,8 @@ class GatherStage:
 class SubsamplePipeline:
     """The two-phase pipeline as an ordered composition of stages.
 
-    The default stage list reproduces ``run_subsample`` seed-for-seed; pass
-    a custom sequence to swap, wrap, or extend stages::
+    The default stage list is the paper's pipeline; pass a custom
+    sequence to swap, wrap, or extend stages::
 
         pipe = SubsamplePipeline([CubeIndexStage(), Phase1SummarizeStage(),
                                   CubeSelectStage("entropy"),
@@ -409,7 +408,7 @@ class SubsamplePipeline:
         resident :class:`TurbulenceDataset` (coerced to an in-memory source).
         """
         ctx = PipelineContext(
-            comm=comm, source=as_source(data), config=config, seed=seed, hist_bins=hist_bins
+            comm=comm, source=open_source(data), config=config, seed=seed, hist_bins=hist_bins
         )
         with EnergyMeter() as meter:
             ctx.meter = meter

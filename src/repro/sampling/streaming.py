@@ -49,17 +49,17 @@ from repro.data.points import PointSet
 from repro.data.sources import (
     PartitionedSource,
     ShardDirSource,
-    SimulationSource,
     SnapshotSource,
     aggregate_cache_info,
-    as_source,
+    open_source,
 )
 from repro.data.store import OwnedShardLayout
 from repro.energy.meter import EnergyMeter
 from repro.parallel.partition import ProducerReport, stream_partitions
 from repro.parallel.perfmodel import PerfModel
-from repro.parallel.spmd import SPMD_BACKENDS, run_spmd
+from repro.parallel.spmd import run_spmd
 from repro.parallel.threadcomm import RankFailure
+from repro.runspec import check_call
 from repro.sampling.base import (
     StreamSampler,
     failed_producers_error,
@@ -647,53 +647,12 @@ def run_stream_subsample(
     """
     from repro.sampling.stages import SubsampleResult
 
-    source = as_source(source)
+    source = open_source(source)
+    check_call(source, config, mode="stream", nranks=nranks, backend=backend,
+               owned_shards=owned_shards, on_rank_failure=on_rank_failure,
+               fault_hook=fault_hook)
     sub = config.subsample
-    if nranks < 1:
-        raise ValueError("nranks must be >= 1")
-    if backend not in SPMD_BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {SPMD_BACKENDS}")
-    if on_rank_failure not in ("reweight", "raise"):
-        raise ValueError(
-            f"on_rank_failure must be 'reweight' or 'raise', got {on_rank_failure!r}"
-        )
-    if fault_hook is not None and nranks == 1:
-        raise ValueError(
-            "fault injection needs nranks >= 2 — a single producer has no "
-            "peers to survive it"
-        )
-    if owned_shards and not isinstance(source, ShardDirSource):
-        raise ValueError(
-            "owned_shards requires a ShardDirSource (a save_dataset shard "
-            f"directory); got {type(source).__name__}"
-        )
-    if owned_shards and nranks < 2:
-        raise ValueError(
-            "owned_shards needs nranks >= 2 — a single producer already "
-            "owns every shard, so the flag would be silently meaningless"
-        )
-    if sub.method == "full":
-        raise ValueError(
-            "method 'full' keeps dense cubes and has no single-pass "
-            "streaming analogue; use mode='batch'"
-        )
-    # Resolve the registry up front so unsupported methods fail before the
-    # source does any work (a SimulationSource would otherwise run the
-    # solver for a whole snapshot first).
     sampler_cls = stream_sampler_cls(sub.method)
-    if (
-        isinstance(source, SimulationSource)
-        and nranks > 1
-        and source.max_cached < source.n_snapshots
-    ):
-        # Producers start at different offsets of the same live iterator; a
-        # replay-on-backstep source would re-run the solver O(ranks) times.
-        raise ValueError(
-            "a SimulationSource with max_cached < n_snapshots would replay "
-            f"the simulation for nearly every producer under nranks={nranks}; "
-            f"use nranks=1, raise max_cached to >= {source.n_snapshots}, or "
-            "shard the stream to disk first"
-        )
     cluster_var = source.cluster_var
     point_vars = list(dict.fromkeys(
         [*source.input_vars, *source.output_vars, cluster_var]

@@ -98,13 +98,14 @@ def source_fingerprint(
     identity — they drive the virtual-time cost model, whose totals land
     in artifact metadata — as are ``max_cached`` / ``prefetch``, whose
     cache counters land in stream-mode ``result.meta["cache"]``.
+    ``max_cached`` is recorded as given: callers pass the resolved value
+    (:attr:`repro.runspec.RunSpec.cached_shards`).
     """
     base = {"dtype": dtype, "scale": float(scale), "seed": int(seed)}
     if source is None:
         return {"kind": "catalog", **base}
     if source == "sim":
-        return {"kind": "sim", **base,
-                "max_cached": max_cached if max_cached is not None else 2}
+        return {"kind": "sim", **base, "max_cached": max_cached}
     from repro.data.sources import _parse_source_spec
 
     scheme, path, options = _parse_source_spec(source)
@@ -112,7 +113,7 @@ def source_fingerprint(
         "kind": scheme,
         "content": dir_fingerprint(path),
         "options": {str(k): str(v) for k, v in options.items()},
-        "max_cached": max_cached if max_cached is not None else 2,
+        "max_cached": max_cached,
         "prefetch": int(prefetch),
         "dtype": dtype,
     }

@@ -1,10 +1,10 @@
 """Execute one validated job spec — the worker pool's unit of work.
 
-``execute_job`` is a thin shell over :class:`repro.api.Experiment`
-(exactly like the CLI), which is what makes the cache honest: a job's
-artifact carries the same bytes a direct facade run would produce, so
-the store can answer repeated requests with a file instead of a
-recompute.
+``execute_job`` is a thin shell over :class:`repro.api.Experiment`, built
+by the same :func:`repro.runspec.build_run` the CLI uses, which is what
+makes the cache honest: a job's artifact carries the same bytes a direct
+facade run would produce, so the store can answer repeated requests with
+a file instead of a recompute.
 
 Train jobs always run with a :class:`~repro.train.callbacks.Checkpoint`
 into the job's spool directory plus a
@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.api import Experiment
-from repro.serve.jobs import JobSpec
+from repro.runspec import RunSpec, build_run
 from repro.train.callbacks import Callback, StopOnSignal
 
 __all__ = ["JobOutcome", "execute_job", "write_progress"]
@@ -76,34 +76,7 @@ class _ProgressCallback(Callback):
         })
 
 
-def _open_job_source(spec: JobSpec, case):
-    """Mirror of the CLI's ``_resolve_source`` for job specs."""
-    if spec.source is None:
-        return None
-    max_cached = 2 if spec.max_cached_shards is None else spec.max_cached_shards
-    if spec.source == "sim":
-        from repro.data import stream_dataset
-
-        return stream_dataset(case.shared.dtype, scale=spec.scale,
-                              seed=spec.seed, max_cached=max_cached)
-    from repro.data import open_source
-
-    return open_source(spec.source, max_cached=max_cached,
-                       prefetch=spec.prefetch)
-
-
-def _fault_hook_for(spec: JobSpec):
-    if spec.inject_rank_failure is None:
-        return None
-    victim = int(spec.inject_rank_failure)
-
-    def _kill_after_first_chunk(rank, snapshots_done=0, rows_fed=0):
-        return rank == victim and rows_fed > 0
-
-    return _kill_after_first_chunk
-
-
-def execute_job(spec: JobSpec, workdir: str,
+def execute_job(spec: RunSpec, workdir: str,
                 resume_checkpoint: str | None = None) -> JobOutcome:
     """Run ``spec`` inside ``workdir``; returns the outcome.
 
@@ -116,20 +89,10 @@ def execute_job(spec: JobSpec, workdir: str,
     stop_path = os.path.join(workdir, STOP_FILE)
     progress_path = os.path.join(workdir, PROGRESS_FILE)
 
-    exp = (
-        Experiment.from_case(case)
-        .with_seed(spec.seed)
-        .with_scale(spec.scale)
-        .with_backend(spec.backend)
-        .with_stream_shuffle(spec.stream_shuffle)
-        .with_epochs(spec.epochs)
-    )
-    source = _open_job_source(spec, case)
-    if source is not None:
-        exp.with_source(source)
+    exp, source, fault_hook = build_run(spec, case)
     try:
         if spec.kind == "subsample":
-            return _run_subsample(spec, exp, progress_path)
+            return _run_subsample(spec, exp, fault_hook, progress_path)
         if spec.kind == "train":
             return _run_train(spec, exp, workdir, stop_path, progress_path,
                               resume_checkpoint)
@@ -139,14 +102,14 @@ def execute_job(spec: JobSpec, workdir: str,
             source.close()
 
 
-def _run_subsample(spec: JobSpec, exp: Experiment,
+def _run_subsample(spec: RunSpec, exp: Experiment, fault_hook,
                    progress_path: str) -> JobOutcome:
     write_progress(progress_path, {"phase": "subsample"})
-    exp.with_ranks(spec.ranks).subsample(
+    exp.subsample(
         mode=spec.mode,
         owned_shards=spec.owned_shards,
-        on_rank_failure=spec.on_rank_failure or "raise",
-        fault_hook=_fault_hook_for(spec),
+        on_rank_failure=spec.failure_policy,
+        fault_hook=fault_hook,
     )
     artifact = exp.subsample_artifact
     res = artifact.result
@@ -162,14 +125,9 @@ def _run_subsample(spec: JobSpec, exp: Experiment,
     return JobOutcome(status="done", artifact=artifact, meta=meta)
 
 
-def _run_train(spec: JobSpec, exp: Experiment, workdir: str, stop_path: str,
+def _run_train(spec: RunSpec, exp: Experiment, workdir: str, stop_path: str,
                progress_path: str,
                resume_checkpoint: str | None) -> JobOutcome:
-    exp.with_train_ranks(spec.ranks)
-    if spec.mode == "stream":
-        # Same convention as the CLI: stream-mode training's implicit
-        # subsample uses the same ranks (one stream producer per rank).
-        exp.with_ranks(spec.ranks)
     stopper = StopOnSignal(lambda: os.path.exists(stop_path))
     checkpoint_path = os.path.join(workdir, CHECKPOINT_FILE)
     exp.train(
@@ -203,7 +161,7 @@ def _run_train(spec: JobSpec, exp: Experiment, workdir: str, stop_path: str,
                       checkpoint_path=checkpoint_path)
 
 
-def _run_tune(spec: JobSpec, exp: Experiment,
+def _run_tune(spec: RunSpec, exp: Experiment,
               progress_path: str) -> JobOutcome:
     write_progress(progress_path, {"phase": "tune",
                                    "trials": int(spec.tune_trials)})

@@ -32,7 +32,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.serve.jobs import JobSpec
+from repro.runspec import RunSpec
 from repro.serve.runner import (
     PROGRESS_FILE,
     STOP_FILE,
@@ -82,7 +82,7 @@ class AdmissionPolicy:
     z_margin: float = 0.0
     cost_spread: float = 0.5
 
-    def cost(self, spec: JobSpec) -> float:
+    def cost(self, spec: RunSpec) -> float:
         """Effective budget units one running instance of ``spec`` pins."""
         return max(1, int(spec.ranks)) * (1.0 + self.z_margin * self.cost_spread)
 
@@ -107,7 +107,7 @@ class _Job:
     """Internal mutable job record (all mutation under the scheduler lock)."""
 
     id: str
-    spec: JobSpec
+    spec: RunSpec
     key: str
     workdir: str
     cost: float = 1.0
@@ -186,8 +186,6 @@ class Scheduler:
         """
         import json
 
-        from repro.serve.jobs import JobSpec
-
         if not os.path.isdir(self.spool):
             return
         for name in sorted(os.listdir(self.spool)):
@@ -203,7 +201,7 @@ class Scheduler:
             if record.get("resumed_to") or not (ckpt and os.path.isfile(ckpt)):
                 continue
             try:
-                spec = JobSpec.from_json(record["spec"])
+                spec = RunSpec.from_json(record["spec"])
             except Exception:
                 _LOG.warning("spool record %s has an unreadable spec; "
                              "skipping restore", record_path)
@@ -221,10 +219,10 @@ class Scheduler:
 
     # ---- submission -------------------------------------------------------
 
-    def submit(self, spec: JobSpec) -> dict:
+    def submit(self, spec: RunSpec) -> dict:
         """Admit one validated spec; returns the job's status snapshot.
 
-        Raises :class:`~repro.serve.jobs.JobSpecError` for a bad spec,
+        Raises :class:`~repro.runspec.SpecError` for a bad spec,
         :class:`ServiceDraining` during shutdown, and
         :class:`AdmissionRejected` when the budget policy refuses it.
         """
@@ -308,7 +306,7 @@ class Scheduler:
         self._wake.set()
         return snap
 
-    def _register_locked(self, spec: JobSpec, key: str, cost: float) -> _Job:
+    def _register_locked(self, spec: RunSpec, key: str, cost: float) -> _Job:
         """Create and index a job record (scheduler lock held)."""
         self._seq += 1
         job_id = f"j{self._seq:06d}"
@@ -473,7 +471,7 @@ class Scheduler:
             self._counters["completed"] += 1
             cache = outcome.meta.get("cache")
             if cache is not None:
-                self._cache_infos.append(cache)
+                self._cache_infos.extend(cache["per_rank"])
             energy = outcome.meta.get("total_energy")
             if energy is not None:
                 self._energy_total += float(energy)

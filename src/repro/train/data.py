@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.data.dataset import TurbulenceDataset
 from repro.data.hypercubes import extract_hypercube
-from repro.data.sources import SnapshotSource, as_source
+from repro.data.sources import SnapshotSource, open_source
 from repro.sampling.pipeline import SubsampleResult
 
 __all__ = [
@@ -147,7 +147,7 @@ def build_reconstruction_data(
     `data` is the snapshot source (or resident dataset) the result was
     sampled from; windows are fetched through it snapshot-by-snapshot.
     """
-    source = as_source(data)
+    source = open_source(data)
     in_vars = source.input_vars
     out_vars = source.output_vars
     if not out_vars:
@@ -224,7 +224,7 @@ def build_drag_data(
     across all snapshots (sparse sensors measuring the wake); snapshots are
     streamed through the source in time order.
     """
-    source = as_source(data)
+    source = open_source(data)
     if source.target is None:
         raise ValueError(f"dataset {source.label} has no global target")
     groups = _origin_groups(result, source)

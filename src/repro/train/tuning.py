@@ -17,7 +17,10 @@ import numpy as np
 
 from repro.utils.rng import resolve_rng
 
-__all__ = ["SearchSpace", "Trial", "tune", "default_search_space"]
+__all__ = ["STRATEGIES", "SearchSpace", "Trial", "tune", "default_search_space"]
+
+#: the search strategies :func:`tune` implements
+STRATEGIES = ("bayes", "random")
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,8 @@ def tune(
     """Minimize `objective`; returns (best trial, all trials)."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if strategy not in ("random", "bayes"):
-        raise ValueError("strategy must be 'random' or 'bayes'")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}")
     rng = resolve_rng(rng)
     trials: list[Trial] = []
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.data import (
     OwnedShardLayout,
-    ShardedNpzSource,
+    ShardDirSource,
     aggregate_cache_info,
     build_dataset,
     save_dataset,
@@ -37,7 +37,7 @@ class TestOwnedShardLayout:
             assert layout.nranks == 2
             assert layout.spans == [(0, 3), (3, 5)]
             for r in range(2):
-                src = ShardedNpzSource(layout.rank_dir(r))
+                src = ShardDirSource(layout.rank_dir(r))
                 lo, hi = layout.rank_span(r)
                 assert src.n_snapshots == hi - lo
                 assert src.label == sst.label
@@ -54,7 +54,7 @@ class TestOwnedShardLayout:
         try:
             times = []
             for r in range(3):
-                src = ShardedNpzSource(layout.rank_dir(r))
+                src = ShardDirSource(layout.rank_dir(r))
                 times.extend(src.times)
             # Every snapshot appears exactly once, in global order.
             assert times == list(sst.times)
@@ -64,7 +64,7 @@ class TestOwnedShardLayout:
     def test_more_ranks_than_shards_gives_empty_tail_dirs(self, shard_dir, sst):
         layout = OwnedShardLayout.build(shard_dir, sst.n_snapshots + 2)
         try:
-            tail = ShardedNpzSource(layout.rank_dir(layout.nranks - 1))
+            tail = ShardDirSource(layout.rank_dir(layout.nranks - 1))
             assert tail.n_snapshots == 0
             assert tail.nbytes() == 0
             assert list(tail.iter_tables(["u"])) == []
@@ -80,7 +80,7 @@ class TestOwnedShardLayout:
         layout = OwnedShardLayout.build(path, 2)
         try:
             for r in range(2):
-                src = ShardedNpzSource(layout.rank_dir(r))
+                src = ShardDirSource(layout.rank_dir(r))
                 lo, hi = layout.rank_span(r)
                 assert np.allclose(src.target, ds.target[lo:hi])
         finally:
@@ -168,11 +168,22 @@ class TestOwnedShardLayout:
         layout.remove()  # idempotent
 
 
+def schema2(**counters) -> dict:
+    """A ``cache_info()``-shaped dict with the given counters (others 0)."""
+    from dataclasses import fields
+
+    from repro.data import CacheCounters
+
+    names = [f.name for f in fields(CacheCounters)]
+    return {"schema": 2, "codec": "npz", "tier": "local", "gauges": {},
+            "counters": {**dict.fromkeys(names, 0), **counters}}
+
+
 class TestAggregateCacheInfo:
     def test_sums_counters_and_derives_decodes(self):
         infos = [
-            {"hits": 2, "misses": 3, "prefetched": 1, "evictions": 0},
-            {"hits": 1, "misses": 2, "prefetched": 0, "evictions": 4},
+            schema2(hits=2, misses=3, prefetched=1, evictions=0),
+            schema2(hits=1, misses=2, prefetched=0, evictions=4),
         ]
         agg = aggregate_cache_info(infos)
         assert agg["ranks"] == 2
@@ -181,7 +192,7 @@ class TestAggregateCacheInfo:
         assert agg["evictions"] == 4
 
     def test_skips_none_entries(self):
-        agg = aggregate_cache_info([None, {"misses": 2}, None])
+        agg = aggregate_cache_info([None, schema2(misses=2), None])
         assert agg["ranks"] == 1 and agg["decodes"] == 2
 
     def test_empty(self):
@@ -192,7 +203,7 @@ class TestAggregateCacheInfo:
 class TestCloseLifecycle:
     def test_close_joins_prefetch_thread(self, shard_dir):
         before = {t for t in threading.enumerate()}
-        src = ShardedNpzSource(shard_dir, max_cached=2, prefetch=2)
+        src = ShardDirSource(shard_dir, max_cached=2, prefetch=2)
         src.prefetch([0, 1])
         src.snapshot(0)
         src.close()
@@ -201,7 +212,7 @@ class TestCloseLifecycle:
         assert leaked == [], f"prefetch thread leaked: {leaked}"
 
     def test_context_manager_closes(self, shard_dir):
-        with ShardedNpzSource(shard_dir, max_cached=2, prefetch=1) as src:
+        with ShardDirSource(shard_dir, max_cached=2, prefetch=1) as src:
             src.snapshot(0)
             src.snapshot(1)
         assert not any(

@@ -10,9 +10,7 @@ from repro.data import (
     PartitionedSource,
     RemoteTieredSource,
     ShardDirSource,
-    ShardedNpzSource,
     SimulationSource,
-    as_source,
     build_dataset,
     open_source,
     save_dataset,
@@ -97,11 +95,11 @@ class TestIterTables:
         assert np.array_equal(table[:, 0], flat[:128])
 
 
-class TestShardedNpzSource:
+class TestShardDirSource:
     def test_round_trips_save_dataset_exactly(self, sst, shard_dir):
         """Satellite: the out-of-core view must equal the dataset it was
         written from, bit for bit."""
-        src = ShardedNpzSource(shard_dir, max_cached=2)
+        src = ShardDirSource(shard_dir, max_cached=2)
         assert src.label == sst.label
         assert src.n_snapshots == sst.n_snapshots
         assert src.grid_shape == sst.grid_shape
@@ -117,7 +115,7 @@ class TestShardedNpzSource:
                 assert np.array_equal(a.variables[name], arr), name
 
     def test_lru_residency_is_bounded(self, shard_dir, sst):
-        src = ShardedNpzSource(shard_dir, max_cached=2)
+        src = ShardDirSource(shard_dir, max_cached=2)
         # Touch every shard forwards, backwards, and shuffled.
         order = list(range(sst.n_snapshots))
         for i in [*order, *order[::-1], 3, 0, 5, 1]:
@@ -128,7 +126,7 @@ class TestShardedNpzSource:
         assert info["counters"]["evictions"] > 0
 
     def test_cache_hits_on_repeat_access(self, shard_dir):
-        src = ShardedNpzSource(shard_dir, max_cached=2)
+        src = ShardDirSource(shard_dir, max_cached=2)
         src.snapshot(0)
         src.snapshot(0)
         info = src.cache_info()["counters"]
@@ -136,10 +134,10 @@ class TestShardedNpzSource:
 
     def test_validation(self, tmp_path, shard_dir):
         with pytest.raises(FileNotFoundError):
-            ShardedNpzSource(str(tmp_path / "nope"))
+            ShardDirSource(str(tmp_path / "nope"))
         with pytest.raises(ValueError):
-            ShardedNpzSource(shard_dir, max_cached=0)
-        src = ShardedNpzSource(shard_dir)
+            ShardDirSource(shard_dir, max_cached=0)
+        src = ShardDirSource(shard_dir)
         with pytest.raises(IndexError):
             src.snapshot(99)
 
@@ -161,7 +159,7 @@ class TestShardedPrefetch:
     def test_prefetch_hits_and_bounded_residency(self, shard_dir, sst):
         """Satellite: a forward scan with look-ahead serves hits from the
         background prefetcher while residency stays bounded."""
-        src = ShardedNpzSource(shard_dir, max_cached=3, prefetch=2)
+        src = ShardDirSource(shard_dir, max_cached=3, prefetch=2)
         try:
             src.snapshot(0)          # miss; queues shards 1 and 2
             _wait_for_prefetch(src)  # worker drains the queue in order...
@@ -177,7 +175,7 @@ class TestShardedPrefetch:
         assert info["gauges"]["prefetch_depth"] == 2
 
     def test_explicit_prefetch_hint(self, shard_dir):
-        src = ShardedNpzSource(shard_dir, max_cached=2, prefetch=1)
+        src = ShardDirSource(shard_dir, max_cached=2, prefetch=1)
         try:
             src.prefetch([0, 1])
             _wait_for_prefetch(src)
@@ -189,7 +187,7 @@ class TestShardedPrefetch:
         assert info["prefetch_hits"] >= 1
 
     def test_prefetch_disabled_is_noop(self, shard_dir):
-        src = ShardedNpzSource(shard_dir, max_cached=2, prefetch=0)
+        src = ShardDirSource(shard_dir, max_cached=2, prefetch=0)
         src.prefetch([0, 1, 2])
         src.snapshot(0)
         info = src.cache_info()["counters"]
@@ -198,13 +196,13 @@ class TestShardedPrefetch:
 
     def test_prefetch_validation(self, shard_dir):
         with pytest.raises(ValueError):
-            ShardedNpzSource(shard_dir, prefetch=-1)
+            ShardDirSource(shard_dir, prefetch=-1)
 
     def test_subsample_with_prefetch_matches_without(self, shard_dir, sst):
         """Prefetch is a pure performance hint: selections are identical."""
-        plain = subsample(ShardedNpzSource(shard_dir, max_cached=2),
+        plain = subsample(ShardDirSource(shard_dir, max_cached=2),
                           small_case(), nranks=1, seed=0)
-        pre_src = ShardedNpzSource(shard_dir, max_cached=2, prefetch=2)
+        pre_src = ShardDirSource(shard_dir, max_cached=2, prefetch=2)
         pre = subsample(pre_src, small_case(), nranks=1, seed=0)
         pre_src.close()
         assert np.array_equal(plain.selected_cube_ids, pre.selected_cube_ids)
@@ -213,7 +211,7 @@ class TestShardedPrefetch:
 
 class TestLazyDecode:
     def test_lazy_field_decodes_members_on_demand(self, shard_dir, sst):
-        src = ShardedNpzSource(shard_dir, max_cached=2, lazy=True)
+        src = ShardDirSource(shard_dir, max_cached=2, lazy=True)
         snap = src.snapshot(0)
         assert snap.decoded_members() == []
         assert snap.grid_shape == sst.grid_shape  # header-only, no decode
@@ -228,7 +226,7 @@ class TestLazyDecode:
     def test_lazy_mapping_semantics(self, shard_dir, sst):
         """Regression: generic mapping idioms (get / dict(...) / **) must
         decode, never silently return None or a truncated member set."""
-        snap = ShardedNpzSource(shard_dir, lazy=True).snapshot(0)
+        snap = ShardDirSource(shard_dir, lazy=True).snapshot(0)
         assert snap.variables.get("u") is not None
         assert snap.variables.get("not-a-var", "sentinel") == "sentinel"
         full = dict(snap.variables)
@@ -238,17 +236,17 @@ class TestLazyDecode:
     def test_lazy_derived_variables_compose(self, shard_dir, sst):
         """pv derives from u/v/w/r — lazy members must feed the derived
         registry exactly like eager ones."""
-        snap = ShardedNpzSource(shard_dir, lazy=True).snapshot(0)
+        snap = ShardDirSource(shard_dir, lazy=True).snapshot(0)
         assert np.allclose(snap.get("pv"), sst.snapshots[0].get("pv"))
 
     def test_lazy_nbytes_matches_eager(self, shard_dir):
-        lazy = ShardedNpzSource(shard_dir, lazy=True).snapshot(0)
-        eager = ShardedNpzSource(shard_dir, lazy=False).snapshot(0)
+        lazy = ShardDirSource(shard_dir, lazy=True).snapshot(0)
+        eager = ShardDirSource(shard_dir, lazy=False).snapshot(0)
         assert lazy.nbytes() == eager.nbytes()
         assert lazy.decoded_members() == []  # estimate came from headers
 
     def test_eager_mode_still_available(self, shard_dir, sst):
-        snap = ShardedNpzSource(shard_dir, lazy=False).snapshot(0)
+        snap = ShardDirSource(shard_dir, lazy=False).snapshot(0)
         assert not hasattr(snap, "decoded_members")
         assert np.array_equal(snap.get("u"), sst.snapshots[0].get("u"))
 
@@ -284,7 +282,7 @@ class TestPartitionedSource:
         assert list(tail.iter_snapshots()) == []
 
     def test_prefetch_translates_to_base(self, shard_dir):
-        src = ShardedNpzSource(shard_dir, max_cached=4, prefetch=1)
+        src = ShardDirSource(shard_dir, max_cached=4, prefetch=1)
         try:
             part = PartitionedSource(src, 2, 4)
             part.prefetch([0, 1])  # global shards 2, 3
@@ -450,15 +448,15 @@ class TestStreamDataset:
                 assert entry.default_snapshots == 1, label
 
 
-class TestAsSource:
+class TestOpenSourceCoercion:
     def test_coercions(self, sst, shard_dir):
-        assert isinstance(as_source(sst), InMemorySource)
-        assert isinstance(as_source(shard_dir), ShardDirSource)
+        assert isinstance(open_source(sst), InMemorySource)
+        assert isinstance(open_source(shard_dir), ShardDirSource)
         src = InMemorySource(sst)
-        assert as_source(src) is src
-        assert isinstance(as_source(src), SnapshotSource)
+        assert open_source(src) is src
+        assert isinstance(open_source(src), SnapshotSource)
         with pytest.raises(TypeError):
-            as_source(42)
+            open_source(42)
 
 
 class TestOutOfCoreMemory:
@@ -466,7 +464,7 @@ class TestOutOfCoreMemory:
         """Acceptance: an out-of-core run over >=4 shards never holds more
         than max_cached decoded shards, across the whole pipeline."""
         assert sst.n_snapshots >= 4
-        src = ShardedNpzSource(shard_dir, max_cached=2)
+        src = ShardDirSource(shard_dir, max_cached=2)
         res = subsample(src, small_case(), nranks=1, seed=0)
         assert res.n_samples > 0
         info = src.cache_info()
@@ -477,7 +475,7 @@ class TestOutOfCoreMemory:
         """Satellite: peak traced allocation of an out-of-core subsample
         stays below the full dataset's decoded footprint."""
         full_bytes = sst.nbytes()
-        src = ShardedNpzSource(shard_dir, max_cached=1)
+        src = ShardDirSource(shard_dir, max_cached=1)
         tracemalloc.start()
         try:
             subsample(src, small_case(), nranks=1, seed=0)
@@ -555,35 +553,19 @@ class TestCacheInfoSchema:
         for key in ("resident", "max_resident", "max_cached", "prefetch_depth"):
             assert key in info["gauges"]
 
-    def test_flat_keys_warn_but_work(self, shard_dir):
-        """Satellite: the deprecation shim serves the legacy flat keys."""
-        src = ShardDirSource(shard_dir, max_cached=2)
-        src.snapshot(0)
-        src.snapshot(0)
-        info = src.cache_info()
-        with pytest.deprecated_call():
-            assert info["hits"] == 1
-        with pytest.deprecated_call():
-            assert info["resident"] == info["gauges"]["resident"]
-        with pytest.deprecated_call():
-            assert info.get("misses") == 1
-        assert info.get("not-a-counter", "sentinel") == "sentinel"
-        with pytest.raises(KeyError):
-            info["definitely-not-a-key"]
-
-    def test_aggregate_accepts_schema2_and_legacy(self, shard_dir):
+    def test_aggregate_sums_schema2(self, shard_dir):
         from repro.data import aggregate_cache_info
 
         src = ShardDirSource(shard_dir, max_cached=2)
         src.snapshot(0)
         src.snapshot(0)
-        legacy = {"hits": 3, "misses": 2, "evictions": 1, "prefetched": 4,
-                  "prefetch_hits": 2}
-        agg = aggregate_cache_info([src.cache_info(), legacy, None])
-        assert agg["ranks"] == 2
-        assert agg["hits"] == 1 + 3
-        assert agg["misses"] == 1 + 2
+        agg = aggregate_cache_info([src.cache_info(), None])
+        assert agg["ranks"] == 1
+        assert agg["hits"] == 1
+        assert agg["misses"] == 1
         assert agg["decodes"] == agg["misses"] + agg["prefetched"]
+        with pytest.raises(KeyError):
+            aggregate_cache_info([{"hits": 3, "misses": 2}])  # not schema 2
 
 
 class TestRemoteTieredSource:

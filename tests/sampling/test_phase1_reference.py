@@ -23,7 +23,7 @@ from repro.parallel.comm import SerialComm
 from repro.sampling import stages
 from repro.sampling.entropy import cluster_value_distributions, cube_moments
 from repro.sampling.maxent import select_hypercubes_maxent
-from repro.sampling.pipeline import run_subsample
+from repro.sampling.pipeline import SubsamplePipeline
 from repro.sampling.stages import CubeIndexStage, Phase1SummarizeStage, PipelineContext
 from repro.sampling.streaming import StreamingMaxEnt, run_stream_subsample
 from repro.sampling.temporal import snapshot_histograms
@@ -286,7 +286,7 @@ class TestRejectBadHistBins:
         ds = datasets["SST-P1F4"]
         case = case_for((8, 8, 8), 3)
         with pytest.raises(ValueError, match="hist_bins"):
-            run_subsample(SerialComm(), ds, case, hist_bins=bad)
+            SubsamplePipeline().run(SerialComm(), ds, case, hist_bins=bad)
         with pytest.raises(ValueError, match="bins"):
             StreamingMaxEnt(n_samples=8, value_range=(0.0, 1.0), bins=bad)
         with pytest.raises(ValueError, match="bins"):
@@ -294,12 +294,12 @@ class TestRejectBadHistBins:
 
     def test_under_spmd_the_rank_error_is_the_value_error(self, datasets):
         with pytest.raises(RuntimeError, match=r"rank \d failed") as info:
-            run_spmd(run_subsample, 2, datasets["SST-P1F4"], case_for((8, 8, 8), 3),
-                     hist_bins=0)
+            run_spmd(SubsamplePipeline().run, 2, datasets["SST-P1F4"],
+                     case_for((8, 8, 8), 3), hist_bins=0)
         assert isinstance(info.value.__cause__, ValueError)
         assert "hist_bins" in str(info.value.__cause__)
 
     def test_numpy_integers_accepted(self, datasets):
-        res = run_subsample(SerialComm(), datasets["SST-P1F4"], case_for((8, 8, 8), 3),
-                            hist_bins=np.int64(12))
+        res = SubsamplePipeline().run(SerialComm(), datasets["SST-P1F4"],
+                                      case_for((8, 8, 8), 3), hist_bins=np.int64(12))
         assert res.points is not None

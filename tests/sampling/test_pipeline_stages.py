@@ -107,10 +107,10 @@ class TestSourceEquivalence:
         assert points_digest(res.points) == digest
 
     def test_sharded_source_matches_golden(self, sst, tmp_path):
-        from repro.data import ShardedNpzSource, save_dataset
+        from repro.data import ShardDirSource, save_dataset
 
         save_dataset(sst, str(tmp_path))
-        src = ShardedNpzSource(str(tmp_path), max_cached=1)
+        src = ShardDirSource(str(tmp_path), max_cached=1)
         ids, digest = GOLDEN[("maxent", 2)]
         res = subsample(src, make_case(), nranks=2, seed=0)
         assert list(map(int, res.selected_cube_ids)) == ids

@@ -1090,11 +1090,11 @@ class TestOwnedShardStreaming:
     def test_owned_matches_shared_bitwise(self, shard_dir):
         """Ownership is pure I/O isolation: same spans, same rngs, same
         points as the shared-cache view."""
-        from repro.data import ShardedNpzSource
+        from repro.data import ShardDirSource
 
-        with ShardedNpzSource(shard_dir, max_cached=2) as src:
+        with ShardDirSource(shard_dir, max_cached=2) as src:
             shared = run_stream_subsample(src, self._case(), seed=0, nranks=4)
-        with ShardedNpzSource(shard_dir, max_cached=2) as src:
+        with ShardDirSource(shard_dir, max_cached=2) as src:
             owned = run_stream_subsample(src, self._case(), seed=0, nranks=4,
                                          owned_shards=True)
         assert np.array_equal(shared.points.coords, owned.points.coords)
@@ -1105,9 +1105,9 @@ class TestOwnedShardStreaming:
     def test_no_cross_rank_cache_sharing(self, shard_dir, sst):
         """Acceptance: per-rank cache_info decodes exactly the rank's own
         span and sums to the dataset's total I/O."""
-        from repro.data import ShardedNpzSource
+        from repro.data import ShardDirSource
 
-        with ShardedNpzSource(shard_dir, max_cached=2, prefetch=1) as src:
+        with ShardDirSource(shard_dir, max_cached=2, prefetch=1) as src:
             res = run_stream_subsample(src, self._case(), seed=0, nranks=4,
                                        owned_shards=True)
         cache = res.meta["cache"]
@@ -1124,9 +1124,9 @@ class TestOwnedShardStreaming:
         teardown."""
         import threading
 
-        from repro.data import ShardedNpzSource
+        from repro.data import ShardDirSource
 
-        with ShardedNpzSource(shard_dir, max_cached=2, prefetch=2) as src:
+        with ShardDirSource(shard_dir, max_cached=2, prefetch=2) as src:
             run_stream_subsample(src, self._case(), seed=0, nranks=3,
                                  owned_shards=True)
         alive = [t for t in threading.enumerate()
@@ -1136,9 +1136,9 @@ class TestOwnedShardStreaming:
     def test_owned_with_more_ranks_than_shards(self, shard_dir, sst):
         """Satellite regression: empty owned directories stream nothing and
         merge as zero mass."""
-        from repro.data import ShardedNpzSource
+        from repro.data import ShardDirSource
 
-        with ShardedNpzSource(shard_dir, max_cached=2) as src:
+        with ShardDirSource(shard_dir, max_cached=2) as src:
             res = run_stream_subsample(src, self._case(), seed=0,
                                        nranks=sst.n_snapshots + 3,
                                        owned_shards=True)
@@ -1156,9 +1156,9 @@ class TestOwnedShardStreaming:
     def test_owned_requires_multiple_ranks(self, shard_dir):
         """Regression: owned_shards at nranks=1 must refuse, not silently
         run the single-producer path while meta claims ownership."""
-        from repro.data import ShardedNpzSource
+        from repro.data import ShardDirSource
 
-        with ShardedNpzSource(shard_dir) as src:
+        with ShardDirSource(shard_dir) as src:
             with pytest.raises(ValueError, match="nranks >= 2"):
                 run_stream_subsample(src, self._case(), seed=0, nranks=1,
                                      owned_shards=True)
@@ -1166,7 +1166,7 @@ class TestOwnedShardStreaming:
     def test_layout_scratch_dir_removed_after_run(self, shard_dir, monkeypatch):
         """The owned layout is run-scoped: its temp directory is gone after
         the subsample, success or failure."""
-        from repro.data import ShardedNpzSource
+        from repro.data import ShardDirSource
         from repro.data.store import OwnedShardLayout
 
         roots = []
@@ -1178,7 +1178,7 @@ class TestOwnedShardStreaming:
             return layout
 
         monkeypatch.setattr(OwnedShardLayout, "build", classmethod(spy))
-        with ShardedNpzSource(shard_dir) as src:
+        with ShardDirSource(shard_dir) as src:
             run_stream_subsample(src, self._case(), seed=0, nranks=2,
                                  owned_shards=True)
         assert len(roots) == 1
@@ -1189,9 +1189,9 @@ class TestOwnedShardStreaming:
         def hook(rank, snapshots_done=0, rows_fed=0):
             return rank == 1 and rows_fed > 2000
 
-        from repro.data import ShardedNpzSource
+        from repro.data import ShardDirSource
 
-        with ShardedNpzSource(shard_dir, max_cached=2) as src:
+        with ShardDirSource(shard_dir, max_cached=2) as src:
             res = run_stream_subsample(
                 src, self._case(), seed=0, nranks=4, chunk_rows=2048,
                 owned_shards=True, fault_hook=hook, on_rank_failure="reweight",

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data import build_dataset
 from repro.sampling import select_snapshots, js_divergence, subsample
-from repro.sampling.pipeline import run_subsample
+from repro.sampling.pipeline import SubsamplePipeline
 from repro.parallel import run_spmd
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 
@@ -138,7 +138,7 @@ class TestPipelineParallel:
 
     def test_all_ranks_return_consistent_result(self, sst):
         cfg = make_case(num_hypercubes=4, num_samples=16)
-        spmd = run_spmd(run_subsample, 3, sst, cfg, seed=0)
+        spmd = run_spmd(SubsamplePipeline().run, 3, sst, cfg, seed=0)
         for rank in range(3):
             res = spmd[rank]
             assert res.n_candidate_cubes == spmd[0].n_candidate_cubes

@@ -11,7 +11,7 @@ import copy
 import pytest
 
 from repro.api import SubsampleArtifact
-from repro.serve.jobs import JobSpec, JobSpecError
+from repro.runspec import RunSpec, SpecError
 from repro.serve.keys import (
     canonical_json,
     content_key,
@@ -52,11 +52,11 @@ class TestCanonicalJson:
 
 
 class TestJobSpecKeys:
-    def spec(self, **over) -> JobSpec:
+    def spec(self, **over) -> RunSpec:
         base = {"kind": "subsample", "case": copy.deepcopy(TINY_CASE),
                 "seed": 3, "ranks": 2, "scale": 0.5}
         base.update(over)
-        return JobSpec.from_json(base)
+        return RunSpec.from_json(base)
 
     def test_stable_across_case_dict_ordering(self):
         assert self.spec().content_key() == \
@@ -84,16 +84,16 @@ class TestJobSpecKeys:
             self.spec(kind="train", epochs=2,
                       checkpoint_every=5).content_key()
 
-    @pytest.mark.parametrize("field,value", [
-        ("seed", 4),
-        ("ranks", 3),
-        ("scale", 0.75),
-        ("mode", "stream"),
-        ("stream_shuffle", 7),
+    @pytest.mark.parametrize("field,value,base", [
+        ("seed", 4, {}),
+        ("ranks", 3, {}),
+        ("scale", 0.75, {}),
+        ("mode", "stream", {}),
+        ("stream_shuffle", 7, {"kind": "train", "mode": "stream"}),
     ])
-    def test_identity_fields_included(self, field, value):
-        assert self.spec().content_key() != \
-            self.spec(**{field: value}).content_key()
+    def test_identity_fields_included(self, field, value, base):
+        assert self.spec(**base).content_key() != \
+            self.spec(**base, **{field: value}).content_key()
 
     def test_kind_included(self):
         sub = self.spec()
@@ -105,8 +105,8 @@ class TestJobSpecKeys:
             self.spec(kind="train", epochs=3).content_key()
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(JobSpecError, match="unknown job spec field"):
-            JobSpec.from_json({"kind": "subsample", "case": TINY_CASE,
+        with pytest.raises(SpecError, match="unknown job spec field"):
+            RunSpec.from_json({"kind": "subsample", "case": TINY_CASE,
                                "sed": 3})
 
 

@@ -14,7 +14,7 @@ import time
 import pytest
 
 import repro.serve.scheduler as sched_mod
-from repro.serve.jobs import JobSpec
+from repro.runspec import RunSpec
 from repro.serve.runner import JobOutcome, STOP_FILE
 from repro.serve.scheduler import (
     AdmissionPolicy,
@@ -27,11 +27,11 @@ from repro.serve.store import ArtifactStore
 from _serve_cases import TINY_CASE
 
 
-def make_spec(**over) -> JobSpec:
+def make_spec(**over) -> RunSpec:
     base = {"kind": "subsample", "case": copy.deepcopy(TINY_CASE),
             "seed": 3, "ranks": 1, "scale": 0.5}
     base.update(over)
-    return JobSpec.from_json(base)
+    return RunSpec.from_json(base)
 
 
 def wait_for(predicate, timeout: float = 10.0, what: str = "condition"):
@@ -338,3 +338,34 @@ class TestStats:
             assert stats["store"]["entries"] == 2
             assert stats["jobs"]["done"] == 2
             assert stats["running_cost"] == 0
+
+    def test_cache_aggregate_sums_each_jobs_per_rank_infos(
+            self, monkeypatch, store, tmp_path):
+        """Regression: a job's ``meta["cache"]`` is ``{"per_rank", "total"}``;
+        /v1/stats must sum the per-rank schema-2 infos, not count the job
+        as one rank with every counter 0."""
+        from dataclasses import fields
+
+        from repro.data import CacheCounters, aggregate_cache_info
+
+        def info(**counters):
+            zero = dict.fromkeys((f.name for f in fields(CacheCounters)), 0)
+            return {"schema": 2, "codec": "npz", "tier": "local", "gauges": {},
+                    "counters": {**zero, **counters}}
+
+        per_rank = [info(misses=3, prefetched=1), info(misses=2, prefetched=2)]
+
+        def run(spec, workdir, resume_checkpoint=None):
+            return JobOutcome(status="done", artifact=FakeArtifact(), meta={
+                "cache": {"per_rank": per_rank,
+                          "total": aggregate_cache_info(per_rank)}})
+
+        monkeypatch.setattr(sched_mod, "execute_job", run)
+        with scheduler_for(store, tmp_path) as sched:
+            job = sched.submit(make_spec(seed=1))
+            wait_for(lambda: sched.job(job["id"])["status"] == "done",
+                     what="job completion")
+            cache = sched.stats()["cache"]
+        assert cache["ranks"] == 2
+        assert cache["decodes"] == 8
+        assert cache["misses"] == 5

@@ -138,17 +138,15 @@ class TestSpecParity:
         hash to the same content key (CLI round-trips through CaseConfig)."""
         import argparse
 
-        from repro.serve.cli import _build_spec
-        from repro.serve.jobs import JobSpec
+        from repro.runspec import RunSpec, add_spec_flags
 
-        args = argparse.Namespace(
-            tune=None, train=False, case=case_file, seed=3, ranks=2,
-            scale=0.5, stream=False, backend="thread", retries=0,
-            source=None, epochs=None, max_cached_shards=None, prefetch=0,
-            owned_shards=False, on_rank_failure=None,
-            inject_rank_failure=None, stream_shuffle=0, checkpoint_every=1)
-        via_cli = JobSpec.from_json(_build_spec(args)).content_key()
-        direct = JobSpec.from_json({
+        parser = argparse.ArgumentParser()
+        add_spec_flags(parser, "submit")
+        args = parser.parse_args([case_file, "--seed", "3", "--ranks", "2",
+                                  "--scale", "0.5"])
+        via_cli = RunSpec.from_json(
+            RunSpec.from_args("submit", args).to_dict()).content_key()
+        direct = RunSpec.from_json({
             "kind": "subsample", "case": copy.deepcopy(TINY_CASE),
             "seed": 3, "ranks": 2, "scale": 0.5}).content_key()
         assert via_cli == direct

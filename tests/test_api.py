@@ -155,7 +155,7 @@ class TestSources:
     def test_with_source_accepts_all_three_kinds(self, tmp_path):
         from repro.data import (
             InMemorySource,
-            ShardedNpzSource,
+            ShardDirSource,
             save_dataset,
             stream_dataset,
         )
@@ -164,7 +164,7 @@ class TestSources:
         save_dataset(ds, str(tmp_path))
         sources = [
             InMemorySource(ds),
-            ShardedNpzSource(str(tmp_path), max_cached=2),
+            ShardDirSource(str(tmp_path), max_cached=2),
             stream_dataset("sst-binary", scale=0.5, seed=0, n_snapshots=4),
         ]
         results = []
@@ -245,10 +245,10 @@ class TestSources:
 
     def test_train_from_sharded_source(self, tmp_path):
         """Training windows assemble straight from an out-of-core source."""
-        from repro.data import ShardedNpzSource, save_dataset
+        from repro.data import ShardDirSource, save_dataset
 
         save_dataset(self._dataset(), str(tmp_path))
-        src = ShardedNpzSource(str(tmp_path), max_cached=2)
+        src = ShardDirSource(str(tmp_path), max_cached=2)
         exp = (Experiment.from_case(make_case())
                .with_source(src).with_epochs(2).train())
         assert np.isfinite(exp.train_artifact.result.final_test_loss)

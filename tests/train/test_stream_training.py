@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from repro.api import Experiment, build_model_for_case
-from repro.data import ShardedNpzSource, build_dataset, save_dataset
-from repro.data.sources import as_source
+from repro.data import ShardDirSource, build_dataset, open_source, save_dataset
 from repro.nn.tensor import Tensor, no_grad
 from repro.sampling import subsample
 from repro.train import (
@@ -46,7 +45,7 @@ class TestStreamTrainingAcceptance:
         footprint = ds.nbytes()
         del ds
 
-        with ShardedNpzSource(shard_dir, max_cached=2) as src:
+        with ShardDirSource(shard_dir, max_cached=2) as src:
             tracemalloc.start()
             exp = (
                 Experiment.from_case(sst_case())
@@ -83,8 +82,8 @@ class TestStreamTrainingAcceptance:
             return np.sort(np.concatenate(errs))
 
         sres = subsample(ds, case, seed=0, mode="stream", nranks=2)
-        assembler = stream_assembler(as_source(ds), case, sres.points)
-        sfeed = StreamFeed(as_source(ds), assembler, batch=4, test_frac=0.2,
+        assembler = stream_assembler(open_source(ds), case, sres.points)
+        sfeed = StreamFeed(open_source(ds), assembler, batch=4, test_frac=0.2,
                            seed=0)
         smodel = build_model_for_case(case, sfeed.spec, rng=0)
         sfit = TrainLoop(smodel, seed=0).fit(sfeed, epochs=5)
@@ -155,7 +154,7 @@ class TestExperimentStreamTraining:
         """Sharded sources give each DDP rank a private owned-shard source."""
         shard_dir = str(tmp_path / "shards")
         save_dataset(self._ds(), shard_dir)
-        with ShardedNpzSource(shard_dir, max_cached=2) as src:
+        with ShardDirSource(shard_dir, max_cached=2) as src:
             exp = (Experiment.from_case(sst_case())
                    .with_source(src).with_seed(0).with_train_ranks(2)
                    .subsample(mode="stream", ranks=2)
@@ -331,8 +330,8 @@ class TestShuffleBuffer:
         sres = subsample(ds, case, seed=0, mode="stream")
 
         def batches(shuffle):
-            assembler = stream_assembler(as_source(ds), case, sres.points)
-            feed = StreamFeed(as_source(ds), assembler, batch=4, seed=0,
+            assembler = stream_assembler(open_source(ds), case, sres.points)
+            feed = StreamFeed(open_source(ds), assembler, batch=4, seed=0,
                               shuffle=shuffle)
             return [x for xb, _ in feed.train_batches(0) for x in xb]
 
@@ -359,8 +358,8 @@ class TestShuffleBuffer:
             return np.sort(np.concatenate(errs))
 
         sres = subsample(ds, case, seed=0, mode="stream", nranks=2)
-        assembler = stream_assembler(as_source(ds), case, sres.points)
-        sfeed = StreamFeed(as_source(ds), assembler, batch=4, test_frac=0.2,
+        assembler = stream_assembler(open_source(ds), case, sres.points)
+        sfeed = StreamFeed(open_source(ds), assembler, batch=4, test_frac=0.2,
                            seed=0, shuffle=64)
         smodel = build_model_for_case(case, sfeed.spec, rng=0)
         sfit = TrainLoop(smodel, seed=0).fit(sfeed, epochs=5)
@@ -389,8 +388,8 @@ class TestShuffleBuffer:
         sres = subsample(ds, case, seed=0, mode="stream")
 
         def feed():
-            assembler = stream_assembler(as_source(ds), case, sres.points)
-            return StreamFeed(as_source(ds), assembler, batch=4, seed=0,
+            assembler = stream_assembler(open_source(ds), case, sres.points)
+            return StreamFeed(open_source(ds), assembler, batch=4, seed=0,
                               shuffle=32)
 
         a, b = feed(), feed()
