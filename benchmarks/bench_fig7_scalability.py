@@ -452,6 +452,12 @@ def test_fig7_codec_tier_grid(benchmark, sst_p1f4_dataset, tmp_path,
             assert c["remote_bytes"] > 0
         else:
             assert c["remote_fetches"] == 0
-    # raw trades compression for zero-copy: it must cost more disk than npz.
-    size = {e["codec"]: e["shard_bytes"] for e in entries if e["tier"] == "local"}
-    assert size["raw"] > size["npz"]
+    # No codec compresses: each stores at least the raw bytes of its arrays,
+    # every stored variable plus the persisted derived cluster variable.
+    snap = sst_p1f4_dataset.snapshots[0]
+    arr = next(iter(snap.variables.values()))
+    members = len(snap.variables) + 1
+    array_bytes = sst_p1f4_dataset.n_snapshots * members * arr.size * arr.itemsize
+    for e in entries:
+        if e["tier"] == "local":
+            assert e["shard_bytes"] >= array_bytes, (e["codec"], e["shard_bytes"])

@@ -12,19 +12,21 @@ from there (manifests without the key are ``npz``, the historical format).
 
 Three codecs ship:
 
-* ``npz`` — one compressed ``snapshot_XXXXX.npz`` per snapshot (the
-  original format); members are individually compressed, so lazy decode
-  of one variable skips the others' *decompression*.  A decode parses the
-  zip's member table once (:class:`~repro.data.npyfile.NpzFile`), and each
-  member read seeks straight to its entry and checks its size and CRC-32.
+* ``npz`` — one ``snapshot_XXXXX.npz`` per snapshot (the original
+  format), one zip member per array, every member stored, not deflated:
+  deflate shrinks these float fields by only 4-6% and every read would
+  inflate again.  A decode parses the zip's member table once
+  (:class:`~repro.data.npyfile.NpzFile`), and each member read seeks
+  straight to its entry, reads it whole and checks its size and CRC-32.
+  Directories written while members were deflated read unchanged.
 * ``raw`` — one ``snapshot_XXXXX.raw/`` directory per snapshot with an
   uncompressed ``.npy`` per variable: arrays are memory-mapped on decode
   (zero-copy — no decompression at all), and lazy decode of one variable
   never opens the others' files.
 * ``chunked`` — one ``snapshot_XXXXX.chunked/`` directory per snapshot
   with each variable split into several ``.npy`` chunk files: lazy decode
-  of one variable reads only that variable's chunks, so untouched
-  variables skip the I/O itself, not just the decompression.
+  of one variable reads only that variable's chunks, and a partial
+  reader could stop after any chunk boundary.
 
 Every codec round-trips arrays bit-exactly (``.npy`` is a lossless
 container), which the codec-golden tests pin per (seed, nranks).  Reads go
@@ -221,11 +223,11 @@ def codec_names() -> list[str]:
 
 @register_codec
 class NpzCodec(ShardCodec):
-    """One compressed npz per snapshot (``save_field``'s format).
-    Directories written before the registry existed read back through this
-    codec unchanged.  A persisted derived variable is one extra
-    ``der_<name>`` member, which older readers ignore, so such shards are
-    not byte-identical to the historical files."""
+    """One npz of stored (not deflated) members per snapshot
+    (``save_field``'s format).  Directories written before the registry
+    existed, or while members were deflated, read back through this codec
+    unchanged, with identical values.  A persisted derived variable is one
+    extra ``der_<name>`` member, which older readers ignore."""
 
     name = "npz"
 
@@ -245,7 +247,7 @@ class NpzCodec(ShardCodec):
         return load_field_lazy(self.shard_path(directory, index))
 
     def shard_time(self, directory: str, index: int) -> float:
-        # Members inflate on access, so reading just the scalar "time"
+        # Members are read on access, so reading just the scalar "time"
         # entry never decodes the field arrays.
         return float(NpzFile(self.shard_path(directory, index))["time"])
 
@@ -360,8 +362,7 @@ class ChunkedCodec(ShardCodec):
     """Each variable split into ``n_chunks`` flat ``.npy`` chunk files.
 
     The zarr-style trade: lazy decode of one variable reads exactly that
-    variable's chunk files — untouched variables skip the I/O itself, not
-    just the decompression — and a partial reader could stop after any
+    variable's chunk files, and a partial reader could stop after any
     chunk boundary.  Chunk count is fixed at encode time and recorded in
     the shard metadata.
     """

@@ -41,17 +41,18 @@ def save_dataset(dataset: TurbulenceDataset, path: str, codec: str = "npz") -> N
     """Write a dataset as one shard per snapshot plus a manifest.
 
     ``codec`` picks the shard layout from the
-    :mod:`~repro.data.codecs` registry (``npz`` compressed zip members, the
-    default; ``raw`` and ``chunked`` trade compression for zero-copy /
-    per-chunk reads).  The chosen codec is stamped into the manifest, so
-    readers auto-detect it.
+    :mod:`~repro.data.codecs` registry (``npz``, one zip of stored, not
+    deflated, members per shard, the default; ``raw`` and ``chunked`` give
+    zero-copy / per-chunk reads).  The chosen codec is stamped into the
+    manifest, so readers auto-detect it.  No codec compresses: deflate
+    shrinks these float fields by only a few percent, and every read would
+    pay to inflate them again.
 
     When ``cluster_var`` is derived rather than stored (SST-P1F4's
     ``pv``), every shard also persists it, computed by the same
     :data:`~repro.sim.fields.DERIVED_VARIABLES` function a reader would
     run: readers then decode that one member instead of its inputs, with
-    bit-identical values.  It costs one extra member per shard, so npz
-    shards are no longer byte-identical to the historical files (older
+    bit-identical values.  It costs one extra member per shard (older
     readers ignore the member, and older directories derive on read).
 
     The manifest also records each shard's ``cluster_var`` (min, max)

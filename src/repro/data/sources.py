@@ -38,7 +38,7 @@ is an advisory look-ahead hint (no-op by default);  ``ShardDirSource``
 honours it with a background decode thread so each consumer overlaps shard
 decode with sampling, and (with ``lazy=True``) decodes shard members per
 variable on first access — what "member decode" costs is the codec's
-business (npz decompresses one zip entry, raw memory-maps one file,
+business (npz reads one zip entry, raw memory-maps one file,
 chunked reads one variable's chunk files).
 
 :func:`open_source` is the one factory every entry point routes through:
@@ -446,7 +446,7 @@ class ShardDirSource(SnapshotSource):
             self._stats.misses += 1
             self._schedule_lookahead(i)
         # Decode outside the lock: concurrent ranks and the prefetcher make
-        # progress while this thread decompresses.
+        # progress while this thread decodes.
         field = self._decode(i)
         with self._lock:
             racing = self._cache.get(i)

@@ -77,7 +77,7 @@ from repro.sampling import maxent as _maxent
 from repro.sampling.random_ import LatinHypercubeSampler, RandomSampler
 from repro.sampling.stratified import StratifiedSampler, allocate_counts
 from repro.sampling.uips import UIPSSampler
-from repro.sampling.maxent import MaxEntSampler, maxent_cluster_weights, select_hypercubes_maxent
+from repro.sampling.maxent import MaxEntSampler, maxent_cluster_weights
 from repro.sampling.entropy import (
     shannon_entropy,
     kl_divergence,
@@ -131,7 +131,6 @@ __all__ = [
     "UIPSSampler",
     "MaxEntSampler",
     "maxent_cluster_weights",
-    "select_hypercubes_maxent",
     "shannon_entropy",
     "kl_divergence",
     "cluster_value_distributions",

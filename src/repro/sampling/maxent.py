@@ -2,14 +2,17 @@
 
 Two phases:
 
-**Phase 1 — Hmaxent (hypercube selection).**  Every candidate hypercube is
-summarized by moments of its cluster variable; cubes are clustered with
-mini-batch K-means; per-cluster distributions of the cluster variable give a
-KL adjacency (Eq. 2) whose node strengths weight an entropy-weighted random
-draw of ``num_hypercubes`` cubes.  Cubes living in rare, distributionally
-distinct regions (turbulent layers, wakes) are preferentially kept.
+**Phase 1 — Hmaxent (hypercube selection),** run by
+:class:`~repro.sampling.selectors.MaxEntCubeSelector`.  Every candidate
+hypercube is summarized by moments of its cluster variable; cubes are
+clustered with mini-batch K-means; per-cluster distributions of the cluster
+variable give a KL adjacency (Eq. 2) whose node strengths weight an
+entropy-weighted random draw of ``num_hypercubes`` cubes.  Cubes living in
+rare, distributionally distinct regions (turbulent layers, wakes) are
+preferentially kept.
 
-**Phase 2 — Xmaxent (point selection).**  Inside each kept cube the same
+**Phase 2 — Xmaxent (point selection),** this module's
+:class:`MaxEntSampler`.  Inside each kept cube the same
 machinery runs at point level: cluster points on the cluster variable,
 compute distributions → adjacency → node strengths, allocate the per-cube
 budget across clusters proportionally to strength, draw randomly within each
@@ -21,20 +24,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.kmeans import KMeans, MiniBatchKMeans
+from repro.cluster.kmeans import KMeans
 from repro.energy.meter import account
 from repro.sampling.base import Sampler, register_sampler
 from repro.sampling.entropy import (
     cluster_value_distributions,
-    cube_moments,
     entropy_adjacency,
     node_strengths,
     strength_weights,
 )
 from repro.sampling.stratified import allocate_counts
-from repro.utils.rng import resolve_rng
 
-__all__ = ["MaxEntSampler", "maxent_cluster_weights", "select_hypercubes_maxent"]
+__all__ = ["MaxEntSampler", "maxent_cluster_weights"]
 
 
 def maxent_cluster_weights(
@@ -106,47 +107,3 @@ class MaxEntSampler(Sampler):
             members = np.flatnonzero(labels == c)
             chosen.append(rng.choice(members, size=counts[c], replace=False))
         return np.concatenate(chosen)
-
-
-def select_hypercubes_maxent(
-    cube_values: list[np.ndarray],
-    num_hypercubes: int,
-    num_clusters: int = 8,
-    bins: int = 50,
-    rng: np.random.Generator | int | None = None,
-    return_weights: bool = False,
-):
-    """Phase-1 Hmaxent: entropy-weighted random selection of hypercubes.
-
-    ``cube_values[i]`` is cube i's cluster-variable block.  Returns the
-    selected cube indices (and, optionally, each cube's sampling weight).
-    """
-    n_cubes = len(cube_values)
-    if n_cubes == 0:
-        raise ValueError("no candidate hypercubes")
-    if not (1 <= num_hypercubes <= n_cubes):
-        raise ValueError(f"num_hypercubes must be in [1, {n_cubes}], got {num_hypercubes}")
-    rng = resolve_rng(rng)
-
-    summaries = np.concatenate([cube_moments(v.reshape(1, -1)) for v in cube_values])
-    account(flops=float(sum(v.size for v in cube_values)), device="cpu")
-    k = min(num_clusters, max(2, n_cubes // 2), n_cubes)
-    km = MiniBatchKMeans(n_clusters=k, batch_size=min(256, n_cubes), rng=rng).fit(summaries)
-    labels = km.labels_
-    k_eff = km.cluster_centers_.shape[0]
-
-    # Distribution per cube cluster: pooled histogram of member cubes' values.
-    pooled = np.concatenate([v.reshape(-1) for v in cube_values])
-    pooled_labels = np.repeat(labels, [v.size for v in cube_values])
-    weights_by_cluster = maxent_cluster_weights(pooled, pooled_labels, k_eff, bins=bins)
-
-    # Entropy-weighted random sampling of cubes: each cube inherits its
-    # cluster's weight share.
-    cluster_sizes = np.bincount(labels, minlength=k_eff).astype(np.float64)
-    per_cube = weights_by_cluster[labels] / np.maximum(cluster_sizes[labels], 1.0)
-    total = per_cube.sum()
-    per_cube = per_cube / total if total > 0 else np.full(n_cubes, 1.0 / n_cubes)
-    chosen = rng.choice(n_cubes, size=num_hypercubes, replace=False, p=per_cube)
-    if return_weights:
-        return chosen, per_cube
-    return chosen

@@ -1,18 +1,22 @@
 """Shard-codec registry tests: every codec round-trips byte-identically,
 stream subsampling is codec-invariant per (seed, nranks) — owned shards
 included — lazy decode keeps real Mapping semantics, a persisted derived
-cluster variable reads back bit-identically to deriving it, and batch
-phase 1 gives the same results from the manifest's per-shard ranges as from
-scanning."""
+cluster variable reads back bit-identically to deriving it, npz shards store
+their members so no read inflates zlib (directories whose members were
+deflated still read, with identical results), and batch phase 1 gives the
+same results from the manifest's per-shard ranges as from scanning."""
 
 import dataclasses
 import hashlib
 import json
 import os
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.api import Experiment
 from repro.data import (
     InMemorySource,
     OwnedShardLayout,
@@ -28,7 +32,7 @@ from repro.data import (
 )
 from repro.data.codecs import ShardCodec
 from repro.data.dataset import TurbulenceDataset
-from repro.data.store import MANIFEST, read_manifest, write_manifest
+from repro.data.store import MANIFEST, META_KEY, read_manifest, write_manifest
 from repro.parallel.comm import SerialComm
 from repro.sampling import subsample
 from repro.sampling.stages import CubeIndexStage, Phase1SummarizeStage, PipelineContext
@@ -74,6 +78,40 @@ def legacy_dirs(sst, tmp_path_factory):
         save_legacy_format(sst, path, codec)
         dirs[codec] = path
     return dirs
+
+
+def save_deflated_format(dataset, path):
+    """An npz directory as save_dataset wrote it while shard members were
+    deflated: the same manifest, each shard ``np.savez_compressed`` of the
+    stored variables, ``time`` and the JSON metadata, then the derived
+    cluster variable appended as a stored member."""
+    save_dataset(dataset, path, codec="npz")
+    codec = get_codec("npz")
+    for i, snap in enumerate(dataset.snapshots):
+        shard = codec.shard_path(path, i)
+        payload = {f"var_{k}": v for k, v in snap.variables.items()}
+        payload["time"] = np.array(snap.time)
+        payload[META_KEY] = np.array(json.dumps(snap.meta))
+        with open(shard, "wb") as fh:
+            np.savez_compressed(fh, **payload)
+        with zipfile.ZipFile(shard, "a") as zf:
+            with zf.open(f"der_{dataset.cluster_var}.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(
+                    fh, np.asanyarray(snap.get(dataset.cluster_var)), allow_pickle=False)
+
+
+@pytest.fixture(scope="module")
+def deflated_dir(sst, tmp_path_factory):
+    """The dataset as an npz directory whose members are deflated."""
+    path = str(tmp_path_factory.mktemp("deflated_npz"))
+    save_deflated_format(sst, path)
+    return path
+
+
+def member_methods(path):
+    """Zip member name -> compression method of the npz at `path`."""
+    with zipfile.ZipFile(path) as zf:
+        return {info.filename: info.compress_type for info in zf.infolist()}
 
 
 def without_ranges(path, dest):
@@ -213,6 +251,53 @@ class TestRoundTrip:
         assert np.array_equal(src.times, ref.times)
         assert src.nbytes() == ref.nbytes()
         assert src.grid_shape == ref.grid_shape
+
+
+class TestStoredMembers:
+    """npz shards store every member, so reading one is a plain read plus
+    its CRC-32 check; directories written with deflated members still read
+    bit-exactly."""
+
+    def test_fresh_npz_members_are_stored(self, sst, codec_dirs):
+        npz = get_codec("npz")
+        for i in range(sst.n_snapshots):
+            methods = member_methods(npz.shard_path(codec_dirs["npz"], i))
+            assert "der_pv.npy" in methods and "var_u.npy" in methods
+            assert set(methods.values()) == {zipfile.ZIP_STORED}, (i, methods)
+
+    def test_no_shard_read_inflates_zlib(self, codec_dirs, monkeypatch):
+        def inflate(*args, **kwargs):
+            raise AssertionError("a shard read inflated zlib")
+
+        monkeypatch.setattr(zlib, "decompress", inflate)
+        monkeypatch.setattr(zlib, "decompressobj", inflate)
+        path = codec_dirs["npz"]
+        case = stream_case()
+        for mode in ("batch", "stream"):
+            with open_source(path, max_cached=2) as src:
+                res = subsample(src, case, nranks=2, seed=0, mode=mode)
+            assert res.n_samples == 4 * 32, mode
+        train_case = dataclasses.replace(
+            case, train=TrainConfig(epochs=1, batch=4, arch="mlp_transformer"))
+        with open_source(path, max_cached=2) as src:
+            exp = (Experiment.from_case(train_case).with_source(src).with_seed(0)
+                   .subsample(mode="stream", ranks=2).train(mode="stream"))
+        fit = exp.train_artifact.result
+        assert fit.epochs_run == 1 and np.isfinite(fit.final_test_loss)
+
+    def test_deflated_format_round_trips(self, sst, deflated_dir):
+        methods = member_methods(get_codec("npz").shard_path(deflated_dir, 0))
+        assert methods.pop("der_pv.npy") == zipfile.ZIP_STORED
+        assert set(methods.values()) == {zipfile.ZIP_DEFLATED}
+        for lazy in (True, False):
+            src = ShardDirSource(deflated_dir, lazy=lazy)
+            for i, want in enumerate(sst.snapshots):
+                got = src.snapshot(i)
+                assert got.time == want.time and got.meta == want.meta
+                assert list(got.variables) == list(want.variables)
+                for name, arr in want.variables.items():
+                    assert same_bytes(got.variables[name], arr), (lazy, i, name)
+                assert same_bytes(got.get("pv"), derive(want)), (lazy, i)
 
 
 class TestStreamGolden:
@@ -378,13 +463,14 @@ class TestPersistedDerived:
     @pytest.mark.parametrize("mode", ("batch", "stream"))
     @pytest.mark.parametrize("seed,nranks", [(0, 1), (3, 2)])
     def test_subsample_identical_for_every_format_codec_and_tier(
-        self, sst, codec_dirs, legacy_dirs, mode, seed, nranks
+        self, sst, codec_dirs, legacy_dirs, deflated_dir, mode, seed, nranks
     ):
-        """New directories, legacy-format directories and the in-memory
-        source (deriving pv from resident arrays) give byte-identical
-        samples, local and remote://.  In stream mode the in-memory source
-        withholds its exact value-range hint, which shard sources do not
-        give and which moves the online histogram edges by design."""
+        """New directories, legacy-format directories, an npz directory
+        with deflated members and the in-memory source (deriving pv from
+        resident arrays) give byte-identical samples, local and remote://.
+        In stream mode the in-memory source withholds its exact value-range
+        hint, which shard sources do not give and which moves the online
+        histogram edges by design."""
 
         class InMemoryNoHint(InMemorySource):
             def value_range_hint(self, var):
@@ -395,16 +481,16 @@ class TestPersistedDerived:
         ref = InMemorySource(fresh) if mode == "batch" else InMemoryNoHint(fresh)
         want = points_digest(subsample(ref, stream_case(), nranks=nranks,
                                        seed=seed, mode=mode))
-        for codec in ALL_CODECS:
-            for dirs in (codec_dirs, legacy_dirs):
-                for spec in (dirs[codec], f"remote://{dirs[codec]}?max_staged=2"):
-                    src = open_source(spec, max_cached=2)
-                    try:
-                        got = points_digest(subsample(
-                            src, stream_case(), nranks=nranks, seed=seed, mode=mode))
-                    finally:
-                        src.close()
-                    assert got == want, (codec, spec)
+        paths = [dirs[codec] for codec in ALL_CODECS for dirs in (codec_dirs, legacy_dirs)]
+        for path in [*paths, deflated_dir]:
+            for spec in (path, f"remote://{path}?max_staged=2"):
+                src = open_source(spec, max_cached=2)
+                try:
+                    got = points_digest(subsample(
+                        src, stream_case(), nranks=nranks, seed=seed, mode=mode))
+                finally:
+                    src.close()
+                assert got == want, spec
 
 
 def outcome(res):

@@ -22,7 +22,6 @@ from repro.parallel import run_spmd
 from repro.parallel.comm import SerialComm
 from repro.sampling import stages
 from repro.sampling.entropy import cluster_value_distributions, cube_moments
-from repro.sampling.maxent import select_hypercubes_maxent
 from repro.sampling.pipeline import SubsamplePipeline
 from repro.sampling.stages import CubeIndexStage, Phase1SummarizeStage, PipelineContext
 from repro.sampling.streaming import StreamingMaxEnt, run_stream_subsample
@@ -276,8 +275,6 @@ class TestSharedMomentsHelper:
             want = np.array([mean, std, (centred**3).mean() / max(std**3, 1e-12),
                              (centred**4).mean() / max(std**4, 1e-12)])
             assert cube_moments(cube.reshape(1, -1))[0].tobytes() == want.tobytes()
-        chosen = select_hypercubes_maxent(cubes, 2, num_clusters=2, rng=0)
-        assert len(set(map(int, chosen))) == 2
 
 
 class TestRejectBadHistBins:

@@ -171,21 +171,28 @@ class TestHypercubeSelectionQuality:
     def test_hmaxent_prefers_structured_cubes(self):
         """On OF2D, Hmaxent must pick wake cubes (high-vorticity) more often
         than their population share."""
-        from repro.sampling.maxent import select_hypercubes_maxent
+        from repro.data.hypercubes import extract_all_hypercubes
+        from repro.sampling.entropy import cube_moments, group_distributions
+        from repro.sampling.selectors import MaxEntCubeSelector
 
         ds = build_dataset("OF2D", scale=1.0, rng=0, n_snapshots=6)
         cube = 30
-        from repro.data.hypercubes import extract_all_hypercubes
 
         cubes = []
         for s in ds.snapshots:
             cubes.extend(extract_all_hypercubes(s, (cube, cube), ["wz"]))
-        values = [c.variables["wz"] for c in cubes]
-        activity = np.array([np.abs(v).mean() for v in values])
+        block = np.stack([c.variables["wz"].reshape(-1) for c in cubes])
+        activity = np.abs(block).mean(axis=1)
         interesting = activity > np.quantile(activity, 0.75)
 
+        # The statistics phase 1 gathers: per-cube moments, and per-cube
+        # histograms on edges spanning the global range (50 bins).
+        summaries = cube_moments(block)
+        edges = np.linspace(block.min(), block.max(), 51)
+        histograms = group_distributions(
+            block, np.arange(len(cubes))[:, None], len(cubes), edges)
         hits = []
         for seed in range(5):
-            sel = select_hypercubes_maxent(values, num_hypercubes=6, rng=seed)
+            sel = MaxEntCubeSelector().select(summaries, histograms, 6, rng=seed)
             hits.append(interesting[sel].mean())
         assert np.mean(hits) > 0.25  # population share is 0.25
