@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.energy import cost_to_train
 from repro.nn import MLPTransformer
-from repro.train import Trainer
+from repro.train import ArrayFeed, TrainLoop
 from repro.viz import format_table
 
 from conftest import emit
@@ -22,8 +22,7 @@ def _train_energy(n_samples: int, d_model: int, epochs: int, rng=0) -> float:
     y = gen.standard_normal((n_samples, 1, 1, 8, 8, 8))
     model = MLPTransformer(in_channels=2, n_points=16, out_channels=1,
                            grid=(8, 8, 8), d_model=d_model, depth=1, n_heads=2, rng=0)
-    trainer = Trainer(model, epochs=epochs, batch=4, seed=0)
-    result = trainer.fit(x, y)
+    result = TrainLoop(model, seed=0).fit(ArrayFeed(x, y, batch=4, seed=0), epochs=epochs)
     return result.energy.model.dynamic_energy(result.energy.flops_gpu, 0.0)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.nn import LSTMRegressor
 from repro.sampling import subsample
-from repro.train import Trainer, build_drag_data
+from repro.train import ArrayFeed, TrainLoop, build_drag_data
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 from repro.viz import ascii_bar, format_table
 
@@ -48,9 +48,9 @@ def test_fig6_drag_surrogate(benchmark, of2d_dataset):
                     res = subsample(ds, _case(method, ns), seed=seed)
                     x, y = build_drag_data(ds, res, window=WINDOW, max_features=256)
                     model = LSTMRegressor(input_dim=x.shape[2], hidden=24, rng=seed)
-                    trainer = Trainer(model, epochs=EPOCHS, batch=8, lr=5e-3,
-                                      patience=10, seed=seed)
-                    losses.append(trainer.fit(x, y).final_test_loss)
+                    loop = TrainLoop(model, lr=5e-3, patience=10, seed=seed)
+                    feed = ArrayFeed(x, y, batch=8, seed=seed)
+                    losses.append(loop.fit(feed, epochs=EPOCHS).final_test_loss)
                 rows.append({
                     "method": method,
                     "n_samples": ns,

@@ -17,7 +17,7 @@ import numpy as np
 from repro.nn import CNNTransformer, MLPTransformer
 from repro.parallel.perfmodel import PerfModel
 from repro.sampling import subsample
-from repro.train import Trainer, build_reconstruction_data
+from repro.train import ArrayFeed, TrainLoop, build_reconstruction_data
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 from repro.viz import ascii_scatter, format_table
 
@@ -67,9 +67,8 @@ def _run_case(dataset, h, x, seed=0, cube=CUBE, ns=NS_10PCT, epochs=EPOCHS):
             out_channels=data.out_channels, grid=data.grid,
             window=1, horizon=1, d_model=16, depth=1, n_heads=2, rng=seed,
         )
-    trainer = Trainer(model, epochs=epochs, batch=4, patience=5, seed=seed,
-                      gpu_flops_rate=GPU_RATE)
-    result = trainer.fit(data.x, data.y)
+    loop = TrainLoop(model, patience=5, seed=seed, gpu_flops_rate=GPU_RATE)
+    result = loop.fit(ArrayFeed(data.x, data.y, batch=4, seed=seed), epochs=epochs)
     energy = res.energy.total_energy + result.energy.total_energy
     return result.final_test_loss, energy, res.energy.total_energy, result.energy.total_energy
 

@@ -23,7 +23,7 @@ from repro.data.hypercubes import extract_hypercube, hypercube_origins
 from repro.nn import MATEY
 from repro.sampling import subsample
 from repro.sim import generate_stratified
-from repro.train import Trainer, build_reconstruction_data
+from repro.train import ArrayFeed, TrainLoop, build_reconstruction_data
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 from repro.viz import format_table
 
@@ -112,10 +112,10 @@ def test_fig9_matey_foundation(benchmark):
                 in_channels=3, out_channels=1, grid=(CUBE, CUBE, CUBE), patch=8,
                 window=1, horizon=1, d_model=16, depth=1, n_heads=2, rng=0,
             )
-            trainer = Trainer(model, epochs=EPOCHS, batch=4, patience=8,
-                              test_frac=0.2, seed=0, gpu_flops_rate=2.0e9)
-            result = trainer.fit(data.x, data.y)
-            val_loss = trainer.evaluate(val.x, val.y)
+            loop = TrainLoop(model, patience=8, seed=0, gpu_flops_rate=2.0e9)
+            feed = ArrayFeed(data.x, data.y, batch=4, test_frac=0.2, seed=0)
+            result = loop.fit(feed, epochs=EPOCHS)
+            val_loss = loop.evaluate_arrays(val.x, val.y, batch=4)
             rows.append({
                 "strategy": strategy,
                 "val_loss": val_loss,

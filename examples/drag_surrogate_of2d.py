@@ -13,7 +13,7 @@ import numpy as np
 from repro.data import build_dataset
 from repro.nn import LSTMRegressor
 from repro.sampling import subsample
-from repro.train import Trainer, build_drag_data
+from repro.train import ArrayFeed, TrainLoop, build_drag_data
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 from repro.viz import ascii_bar, format_table
 
@@ -46,9 +46,8 @@ def main() -> None:
             result = subsample(dataset, case(method), seed=seed)
             x, y = build_drag_data(dataset, result, window=WINDOW, max_features=256)
             model = LSTMRegressor(input_dim=x.shape[2], hidden=24, rng=seed)
-            trainer = Trainer(model, epochs=EPOCHS, batch=8, lr=5e-3,
-                              patience=10, seed=seed)
-            fit = trainer.fit(x, y)
+            loop = TrainLoop(model, lr=5e-3, patience=10, seed=seed)
+            fit = loop.fit(ArrayFeed(x, y, batch=8, seed=seed), epochs=EPOCHS)
             losses.append(fit.final_test_loss)
             print(f"  {method} seed {seed}: test loss {fit.final_test_loss:.5f} "
                   f"({fit.energy.total_energy:.2f} J)")

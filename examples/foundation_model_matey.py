@@ -18,7 +18,7 @@ from repro.data import TurbulenceDataset
 from repro.data.hypercubes import extract_hypercube, hypercube_origins
 from repro.nn import MATEY, Tensor
 from repro.sim import generate_stratified
-from repro.train import Trainer, build_reconstruction_data
+from repro.train import ArrayFeed, TrainLoop, build_reconstruction_data
 from repro.viz import format_table
 
 CUBE = 16
@@ -82,11 +82,11 @@ def main() -> None:
         data = data_for(ds, pairs)
         model = MATEY(in_channels=3, out_channels=1, grid=(CUBE,) * 3, patch=8,
                       d_model=16, depth=1, n_heads=2, rng=0)
-        trainer = Trainer(model, epochs=25, batch=4, patience=8, test_frac=0.2, seed=0)
-        trainer.fit(data.x, data.y)
+        loop = TrainLoop(model, patience=8, seed=0)
+        loop.fit(ArrayFeed(data.x, data.y, batch=4, test_frac=0.2, seed=0), epochs=25)
         rows.append({
             "strategy": name,
-            "val_loss_heldout": trainer.evaluate(val.x, val.y),
+            "val_loss_heldout": loop.evaluate_arrays(val.x, val.y, batch=4),
             "snapshots_seen": len({p[0] for p in pairs}),
         })
     print()

@@ -13,7 +13,7 @@ from repro.data import build_dataset
 from repro.metrics import ScalingSeries, find_knee, speedup_series
 from repro.nn import CNNTransformer, MLPTransformer
 from repro.sampling import subsample
-from repro.train import Trainer, build_reconstruction_data
+from repro.train import ArrayFeed, TrainLoop, build_reconstruction_data
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 from repro.viz import format_table
 
@@ -64,9 +64,8 @@ def main() -> None:
                                    n_points=data.n_points,
                                    out_channels=data.out_channels, grid=data.grid,
                                    d_model=16, depth=1, n_heads=2, rng=0)
-        trainer = Trainer(model, epochs=EPOCHS, batch=4, patience=6, seed=0,
-                          gpu_flops_rate=2.0e9)
-        fit = trainer.fit(data.x, data.y)
+        loop = TrainLoop(model, patience=6, seed=0, gpu_flops_rate=2.0e9)
+        fit = loop.fit(ArrayFeed(data.x, data.y, batch=4, seed=0), epochs=EPOCHS)
         print(fit.report())
         rows.append({
             "method": method,

@@ -42,10 +42,11 @@ with ``save(path)`` and resurrected with ``Artifact.load(path)``; saved
 artifacts embed the seed and a full config snapshot, so a stored result is
 reproducible from its metadata alone.
 
-The CLI (:mod:`repro.cli`) and the examples are thin shells over this
-facade; under the hood each stage runs the composable
-:class:`~repro.sampling.stages.SubsamplePipeline`, so anything registered
-with ``register_sampler`` / ``register_selector`` /
+The CLIs (:mod:`repro.cli`) and the serve runner are thin shells over this
+facade (:meth:`Experiment.from_spec`); the figure examples call the pipeline
+and :class:`~repro.train.loop.TrainLoop` directly.  Under the hood each
+stage runs the composable :class:`~repro.sampling.stages.SubsamplePipeline`,
+so anything registered with ``register_sampler`` / ``register_selector`` /
 ``register_stream_sampler`` is available here too.
 """
 
@@ -72,13 +73,13 @@ from repro.data.sources import (
 from repro.data.store import META_KEY as _META_KEY
 from repro.data.store import OwnedShardLayout, points_from_npz, points_payload
 from repro.energy.meter import EnergyMeter
+from repro.runspec import RunSpec, check_stage
 from repro.sampling.pipeline import SubsampleResult, subsample
 from repro.train import build_drag_data, build_reconstruction_data
 from repro.train.callbacks import Checkpoint
 from repro.train.data import stream_assembler
 from repro.train.feeds import ArrayFeed, ShardedFeed, StreamFeed
-from repro.train.loop import TrainLoop
-from repro.train.trainer import TrainResult
+from repro.train.loop import TrainLoop, TrainResult
 from repro.train.tuning import SearchSpace, Trial, default_search_space
 from repro.train.tuning import tune as _tune
 from repro.utils.config import CaseConfig
@@ -275,7 +276,7 @@ class SubsampleArtifact(Artifact):
 
 @dataclass
 class TrainArtifact(Artifact):
-    """Wraps a :class:`~repro.train.trainer.TrainResult`."""
+    """Wraps a :class:`~repro.train.loop.TrainResult`."""
 
     kind: ClassVar[str] = "train"
 
@@ -385,10 +386,12 @@ class TuneArtifact(Artifact):
 class Experiment:
     """Fluent builder + runner for one SICKLE case.
 
-    ``with_*`` methods configure and return ``self`` (chainable); ``subsample``
-    and ``train`` execute a stage and record its artifact; ``report`` renders
-    everything run so far.  Stages only run once — calling ``train`` without
-    ``subsample`` triggers the subsample stage implicitly.
+    ``with_*`` methods configure and return ``self`` (chainable); ``subsample``,
+    ``train`` and ``tune`` execute a stage and record its artifact; ``report``
+    renders everything run so far.  Stages only run once — calling ``train``
+    without ``subsample`` triggers the subsample stage implicitly.  The
+    setters only record: each stage call checks its settings and arguments
+    as a :class:`~repro.runspec.RunSpec` before it does any work.
     """
 
     def __init__(self, case: CaseConfig) -> None:
@@ -417,19 +420,45 @@ class Experiment:
             cfg = CaseConfig.from_file(str(case))
         return cls(cfg)
 
+    @classmethod
+    def from_spec(cls, spec: RunSpec, case: CaseConfig) -> Experiment:
+        """The experiment a validated spec describes (the inverse of
+        :meth:`_stage_spec`); the caller opens the spec's source."""
+        exp = (cls(case).with_seed(spec.seed).with_scale(spec.scale)
+               .with_backend(spec.backend).with_epochs(spec.epochs)
+               .with_stream_shuffle(spec.stream_shuffle))
+        if spec.kind == "subsample" or spec.mode == "stream":
+            # Stream training's implicit subsample reuses the ranks (one stream
+            # producer per rank).  Batch subsample output is nranks-dependent,
+            # so batch training keeps the single-rank subsample.
+            exp.with_ranks(spec.ranks)
+        if spec.kind != "subsample":
+            exp.with_train_ranks(spec.ranks)
+        return exp
+
+    def _stage_spec(self, kind: str, mode: str = "batch", **call) -> RunSpec:
+        """The checked spec of a ``kind`` stage call: the settings that stage
+        uses (a fit's ranks are the train ranks), overridden by ``call``."""
+        if kind == "subsample":
+            held = {"ranks": self.ranks}
+        else:
+            held = {"ranks": self.train_ranks, "epochs": self.epochs,
+                    "stream_shuffle": self.stream_shuffle}
+        spec = RunSpec(kind=kind, case=self.case.to_dict(), seed=self.seed,
+                       scale=self.scale, mode=mode, backend=self.backend,
+                       **{**held, **call})
+        check_stage(spec, self._source, self.case.subsample.method, "facade")
+        return spec
+
     # ---- fluent configuration --------------------------------------------
 
     def with_ranks(self, n: int) -> Experiment:
         """Simulated MPI ranks for the subsample phase (``srun -n N``)."""
-        if n < 1:
-            raise ValueError("ranks must be >= 1")
         self.ranks = int(n)
         return self
 
     def with_train_ranks(self, n: int) -> Experiment:
         """Simulated DDP ranks for the training phase."""
-        if n < 1:
-            raise ValueError("train ranks must be >= 1")
         self.train_ranks = int(n)
         return self
 
@@ -438,12 +467,6 @@ class Experiment:
         modeling, the default) or ``"process"`` (forked workers with
         shared-memory transport — real wall-clock parallelism).  Results are
         byte-identical across backends for the same (seed, ranks)."""
-        from repro.parallel import SPMD_BACKENDS
-
-        if backend not in SPMD_BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {SPMD_BACKENDS}"
-            )
         self.backend = backend
         return self
 
@@ -451,8 +474,6 @@ class Experiment:
         """Shuffle-buffer capacity for stream-mode training feeds (see
         :class:`~repro.train.feeds.ShuffleBuffer`).  ``0`` (the default)
         keeps arrival order, byte-identical to pre-shuffle fits."""
-        if capacity < 0:
-            raise ValueError("shuffle capacity must be >= 0")
         self.stream_shuffle = int(capacity)
         return self
 
@@ -463,8 +484,6 @@ class Experiment:
 
     def with_scale(self, scale: float) -> Experiment:
         """Dataset resolution scale (1.0 = the case's native grid)."""
-        if scale <= 0:
-            raise ValueError("scale must be > 0")
         self.scale = float(scale)
         self._invalidate_dataset()
         return self
@@ -491,8 +510,6 @@ class Experiment:
 
     def with_epochs(self, epochs: int | None) -> Experiment:
         """Override the case's epoch budget (None keeps the case value)."""
-        if epochs is not None and epochs < 1:
-            raise ValueError("epochs must be >= 1")
         self.epochs = epochs
         return self
 
@@ -506,12 +523,7 @@ class Experiment:
         — the single entry point for batch, out-of-core, and in-situ
         ingestion.
         """
-        if self.artifacts:
-            raise RuntimeError(
-                "cannot change seed/scale/dataset after a stage has run "
-                f"(recorded: {sorted(self.artifacts)}); start a new "
-                "Experiment via Experiment.from_case(...)"
-            )
+        self._invalidate_dataset()
         self._source = open_source(source)
         self._source_explicit = True
         return self
@@ -577,17 +589,19 @@ class Experiment:
         producers delivered, ``"raise"`` fails the draw); ``fault_hook``
         injects producer deaths for testing.
         """
-        if ranks is None:
-            ranks = self.ranks
-        elif ranks < 1:
-            raise ValueError("ranks must be >= 1")
-        result = subsample(self.source, self.case, nranks=int(ranks),
+        spec = self._stage_spec(
+            "subsample", mode, ranks=self.ranks if ranks is None else int(ranks),
+            owned_shards=owned_shards,
+            on_rank_failure=None if on_rank_failure == "raise" else on_rank_failure,
+            inject_rank_failure=None if fault_hook is None else 0,
+        )
+        result = subsample(self.source, self.case, nranks=spec.ranks,
                            seed=self.seed, mode=mode, owned_shards=owned_shards,
                            on_rank_failure=on_rank_failure, fault_hook=fault_hook,
                            backend=self.backend)
         self.artifacts["subsample"] = SubsampleArtifact(
-            meta={"seed": self.seed, "case": self.case.to_dict(),
-                  "ranks": int(ranks), "scale": self.scale, "mode": mode,
+            meta={"seed": self.seed, "case": spec.case,
+                  "ranks": spec.ranks, "scale": self.scale, "mode": mode,
                   "backend": self.backend,
                   "owned_shards": bool(owned_shards),
                   "on_rank_failure": on_rank_failure,
@@ -623,8 +637,7 @@ class Experiment:
         in service mode); with multiple train ranks each rank's loop gets
         the same instances, so they must be fork/thread-safe.
         """
-        if mode not in ("batch", "stream"):
-            raise ValueError(f"mode must be 'batch' or 'stream', got {mode!r}")
+        spec = self._stage_spec("train", mode, checkpoint_every=checkpoint_every)
         if "subsample" not in self.artifacts:
             self.subsample(mode=mode)
         result: SubsampleResult = self.subsample_artifact.result
@@ -636,7 +649,7 @@ class Experiment:
                 "to fit directly off the merged stream"
             )
         case = self.case
-        epochs = self.epochs if self.epochs is not None else min(case.train.epochs, 100)
+        epochs = spec.epochs if spec.epochs is not None else min(case.train.epochs, 100)
         if mode == "stream":
             fit = self._train_stream(result, epochs, resume, checkpoint,
                                      checkpoint_every, callbacks)
@@ -644,7 +657,7 @@ class Experiment:
             fit = self._train_batch(result, epochs, resume, checkpoint,
                                     checkpoint_every, callbacks)
         self.artifacts["train"] = TrainArtifact(
-            meta={"seed": self.seed, "case": case.to_dict(),
+            meta={"seed": self.seed, "case": spec.case,
                   "ranks": self.train_ranks, "epochs": epochs, "mode": mode,
                   "backend": self.backend,
                   "checkpoint": checkpoint, "resumed_from": resume},
@@ -789,21 +802,8 @@ class Experiment:
         Records a :class:`TuneArtifact`; the best configuration is in
         ``exp.tune_artifact.best``.
         """
-        if self.train_ranks > 1:
-            raise ValueError(
-                "tune() runs its trials serially; with_train_ranks "
-                f"({self.train_ranks}) would be silently ignored — tune on "
-                "a single rank, then train the best config with DDP"
-            )
-        if "subsample" not in self.artifacts:
-            self.subsample()
-        result: SubsampleResult = self.subsample_artifact.result
-        if result.meta.get("mode") == "stream":
-            raise ValueError(
-                "tune() searches over resident training arrays; run the "
-                "subsample in batch mode first"
-            )
-        case = self.case
+        spec = self._stage_spec("tune", tune_trials=n_trials, tune_strategy=strategy,
+                                epochs=self.epochs if epochs is None else epochs)
         space = space or default_search_space()
         supported = {"lr", "batch"}
         unknown = sorted(set(space.params) - supported)
@@ -814,16 +814,20 @@ class Experiment:
                 "sampled and recorded but never used — drop them or extend "
                 "the objective"
             )
-        if epochs is not None:
-            trial_epochs = epochs
-        elif self.epochs is not None:
-            trial_epochs = self.epochs
-        else:
-            trial_epochs = min(case.train.epochs, 10)
-        x, y, spec, input_dim = self._assemble_batch_data(result)
+        if "subsample" not in self.artifacts:
+            self.subsample()
+        result: SubsampleResult = self.subsample_artifact.result
+        if result.meta.get("mode") == "stream":
+            raise ValueError(
+                "tune() searches over resident training arrays; run the "
+                "subsample in batch mode first"
+            )
+        case = self.case
+        trial_epochs = spec.epochs if spec.epochs is not None else min(case.train.epochs, 10)
+        x, y, data, input_dim = self._assemble_batch_data(result)
 
         def objective(config: dict) -> float:
-            model = build_model_for_case(case, spec, input_dim=input_dim,
+            model = build_model_for_case(case, data, input_dim=input_dim,
                                          rng=self.seed)
             loop = TrainLoop(
                 model, lr=float(config.get("lr", case.train.lr)),
@@ -839,7 +843,7 @@ class Experiment:
         best, trials = _tune(objective, space, n_trials=n_trials,
                              strategy=strategy, rng=self.seed)
         self.artifacts["tune"] = TuneArtifact(
-            meta={"seed": self.seed, "case": case.to_dict(),
+            meta={"seed": self.seed, "case": spec.case,
                   "n_trials": int(n_trials), "strategy": strategy,
                   "epochs_per_trial": int(trial_epochs),
                   "space": {k: list(v) for k, v in space.params.items()}},

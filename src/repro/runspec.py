@@ -21,10 +21,12 @@ hashed).  Everything else is generated from it:
   the identity fields that apply to the spec's kind;
 * :func:`build_run` — a spec to (``Experiment``, opened source, fault
   hook), shared by the CLI and the serve runner;
-* :func:`check_call` — the same rules for a direct library call.
+* :func:`check_stage` — the same rules for a facade stage call or (through
+  :func:`check_call`) a direct library call, against its live source.
 
 Messages use the caller's spelling: ``--owned-shards`` on the CLIs,
-``owned_shards`` over JSON, ``nranks``/``fault_hook`` for library calls.
+``owned_shards`` over JSON, ``nranks``/``fault_hook`` for library calls,
+``with_backend``/``n_trials`` for the facade.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "add_spec_flags",
     "build_run",
     "check_call",
+    "check_stage",
     "given_flags",
     "parse_spec",
 ]
@@ -386,6 +389,7 @@ _BY_NAME = {f.name: f for f in _FIELDS}
 _FLAGS = {f.name: f.metadata["flag"] for f in _FIELDS if f.metadata["flag"]}
 _CLI_SHARDS = ("--source <shard-dir> (only save_dataset() shard directories can "
                "be split into owned sets)")
+_LIVE_SHARDS = "a ShardDirSource (a save_dataset shard directory)"
 _SAY = {
     "json": _Say({}, {k: f"kind={k!r}" for k in KINDS}, "mode='stream'",
                  "a shard-directory source (not the catalog or 'sim')"),
@@ -394,9 +398,14 @@ _SAY = {
                   "--stream", _CLI_SHARDS),
     "submit": _Say(_FLAGS, {"subsample": "subsample jobs", "train": "--train jobs",
                             "tune": "--tune"}, "--stream", _CLI_SHARDS),
+    "library": _Say({"ranks": "nranks", "inject_rank_failure": "fault_hook"}, {},
+                    "mode='stream'", _LIVE_SHARDS),
+    # Experiment stage calls; train() and tune() spell ranks with_train_ranks
+    "facade": _Say({"stream_shuffle": "with_stream_shuffle", "backend": "with_backend",
+                    "tune_trials": "n_trials", "tune_strategy": "strategy",
+                    "inject_rank_failure": "fault_hook"},
+                   {k: f"{k}()" for k in KINDS}, "mode='stream'", _LIVE_SHARDS),
 }
-_LIBRARY = _Say({"ranks": "nranks", "inject_rank_failure": "fault_hook"}, {},
-                "mode='stream'", "")
 
 
 def _flag_default(f: dataclasses.Field):
@@ -457,26 +466,13 @@ def build_run(spec: RunSpec, case: CaseConfig) -> tuple[
         Experiment, SnapshotSource | None, Callable[..., bool] | None]:
     """A validated spec → (Experiment, the source it opened, fault hook).
 
-    The caller runs the stage and closes the source.  The fault hook (for
+    The experiment comes from :meth:`~repro.api.Experiment.from_spec`.  The
+    caller runs the stage and closes the source.  The fault hook (for
     ``inject_rank_failure``) kills the victim producer after its first chunk.
     """
     from repro.api import Experiment
 
-    exp = (
-        Experiment.from_case(case)
-        .with_seed(spec.seed)
-        .with_scale(spec.scale)
-        .with_backend(spec.backend)
-        .with_epochs(spec.epochs)
-        .with_stream_shuffle(spec.stream_shuffle)
-    )
-    if spec.kind == "subsample" or spec.mode == "stream":
-        # Stream training's implicit subsample reuses the ranks (one stream
-        # producer per rank).  Batch subsample output is nranks-dependent,
-        # so batch training keeps the single-rank subsample.
-        exp.with_ranks(spec.ranks)
-    if spec.kind != "subsample":
-        exp.with_train_ranks(spec.ranks)
+    exp = Experiment.from_spec(spec, case)
     source = None
     if spec.source == "sim":
         from repro.data import stream_dataset
@@ -506,30 +502,40 @@ def check_call(source, config: CaseConfig, *, mode: str, nranks: int, backend: s
 
     :func:`~repro.sampling.pipeline.subsample` and
     :func:`~repro.sampling.streaming.run_stream_subsample` call this with
-    their own arguments: a ``fault_hook`` counts as an injected failure and
-    a :class:`~repro.data.sources.ShardDirSource` as a shard source.  The
-    one rule that needs the live source object is here too: a
-    :class:`~repro.data.sources.SimulationSource` that replays on backstep
-    cannot serve several ranks' interleaved requests.
+    their own arguments; a ``fault_hook`` counts as an injected failure.
     """
-    from repro.data.sources import ShardDirSource, SimulationSource
-
     spec = RunSpec(
         kind="subsample", case={}, ranks=nranks, mode=mode, backend=backend,
         owned_shards=owned_shards,
         on_rank_failure=None if on_rank_failure == "raise" else on_rank_failure,
         inject_rank_failure=None if fault_hook is None else 0,
     )
-    say = dataclasses.replace(_LIBRARY, shard_source=(
-        "a ShardDirSource (a save_dataset shard directory); got "
-        f"{type(source).__name__}"))
-    spec._check(say, sharded=isinstance(source, ShardDirSource),
-                method=config.subsample.method)
-    if (isinstance(source, SimulationSource) and nranks > 1
-            and source.max_cached < source.n_snapshots):
-        raise ValueError(
+    check_stage(spec, source, config.subsample.method, "library")
+
+
+def check_stage(spec: RunSpec, source: SnapshotSource | None, method: str,
+                surface: str) -> None:
+    """The spec rules for a ``"library"`` or ``"facade"`` stage call.
+
+    A :class:`~repro.data.sources.ShardDirSource` is a shard source; ``None``
+    is the catalog source a facade has not built yet.  One rule needs the
+    live source: a :class:`~repro.data.sources.SimulationSource` that replays
+    on backstep cannot serve several subsample ranks' interleaved requests.
+    """
+    from repro.data.sources import ShardDirSource, SimulationSource
+
+    say = _SAY[surface]
+    if surface == "facade" and spec.kind != "subsample":
+        say = dataclasses.replace(say, names={**say.names, "ranks": "with_train_ranks"})
+    got = "the in-memory catalog" if source is None else type(source).__name__
+    say = dataclasses.replace(say, shard_source=f"{say.shard_source}; got {got}")
+    spec._check(say, sharded=isinstance(source, ShardDirSource), method=method)
+    if (spec.kind == "subsample" and isinstance(source, SimulationSource)
+            and spec.ranks > 1 and source.max_cached < source.n_snapshots):
+        ranks = say("ranks")
+        raise SpecError(
             "a SimulationSource with max_cached < n_snapshots would replay the "
-            f"simulation for nearly every cross-rank access under nranks={nranks}; "
-            f"use nranks=1, raise max_cached to >= {source.n_snapshots}, or shard "
-            "the stream to disk first"
+            f"simulation for nearly every cross-rank access under {ranks}="
+            f"{spec.ranks}; use {ranks}=1, raise max_cached to >= "
+            f"{source.n_snapshots}, or shard the stream to disk first"
         )

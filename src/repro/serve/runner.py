@@ -138,8 +138,7 @@ def _run_train(spec: RunSpec, exp: Experiment, workdir: str, stop_path: str,
         callbacks=[stopper, _ProgressCallback(progress_path)],
     )
     res = exp.train_artifact.result
-    target = (spec.epochs if spec.epochs is not None
-              else min(exp.case.train.epochs, 100))
+    target = exp.train_artifact.meta["epochs"]  # the budget train() ran under
     meta = {
         "epochs_run": int(res.epochs_run),
         "epochs_target": int(target),

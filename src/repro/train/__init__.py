@@ -13,8 +13,8 @@ logging, checkpoint/resume) lives in :mod:`~repro.train.callbacks`.
 :func:`~repro.train.data.build_drag_data` turn a
 :class:`~repro.sampling.pipeline.SubsampleResult` into resident arrays for
 the three learning problems of §5 (sample-single, sample-full, full-full);
-:class:`~repro.train.trainer.Trainer` keeps the historical ``fit(x, y)``
-surface; :func:`~repro.train.tuning.tune` replaces DeepHyper's ``--tune``.
+an array fit is ``TrainLoop(model, ...).fit(ArrayFeed(x, y, ...), epochs)``.
+:func:`~repro.train.tuning.tune` replaces DeepHyper's ``--tune``.
 """
 
 from repro.train.callbacks import (
@@ -45,7 +45,6 @@ from repro.train.feeds import (
     StreamFeed,
 )
 from repro.train.loop import TrainLoop, TrainResult
-from repro.train.trainer import Trainer
 from repro.train.tuning import SearchSpace, Trial, default_search_space, tune
 
 __all__ = [
@@ -65,7 +64,6 @@ __all__ = [
     "ShuffleBuffer",
     "TrainLoop",
     "TrainResult",
-    "Trainer",
     "Callback",
     "Checkpoint",
     "EarlyStopping",

@@ -1,17 +1,18 @@
 """The step-based training loop: one ``fit(feed)`` for every data delivery.
 
-The training-side twin of the stream-first ingestion redesign: where the
-old :class:`~repro.train.trainer.Trainer` hard-wired resident ``x, y``
-arrays, :class:`TrainLoop` runs the paper's §5.2 protocol (Adam, MSE,
+The training-side twin of the stream-first ingestion redesign:
+:class:`TrainLoop` runs the paper's §5.2 protocol (Adam, MSE,
 reduce-on-plateau, gradient clipping, emulated mixed precision, DDP over
 the simulated communicator, energy metering) over any
-:class:`~repro.train.feeds.BatchFeed` — resident arrays, incremental
-stream windows, or per-rank sharded feeds — with episodic behaviour
-delegated to :mod:`~repro.train.callbacks` and bit-deterministic
-checkpoint/resume:
+:class:`~repro.train.feeds.BatchFeed` — resident arrays
+(:class:`~repro.train.feeds.ArrayFeed`, the paper's ``train.py`` fit of
+``x, y``), incremental stream windows, or per-rank sharded feeds — with
+episodic behaviour delegated to :mod:`~repro.train.callbacks` and
+bit-deterministic checkpoint/resume:
 
 * :meth:`fit` drives epochs of ``feed.train_batches(epoch)`` followed by an
-  evaluation pass over ``feed.eval_batches()``.
+  evaluation pass over ``feed.eval_batches()``; :meth:`evaluate_arrays`
+  scores resident arrays the feed never saw (a held-out set) the same way.
 * :class:`~repro.train.callbacks.EnergyCallback` and
   :class:`~repro.train.callbacks.ReduceLROnPlateauCallback` are installed by
   default, reproducing the pre-callback trainer's numbers exactly (the
@@ -157,21 +158,34 @@ class TrainLoop:
             count += len(xb)
         return total / max(count, 1)
 
-    def evaluate(self, feed: BatchFeed) -> float:
-        """Mean MSE over the feed's test set (no grad, eval mode)."""
+    def _score(self, batches) -> tuple[float, int]:
+        """Summed MSE and sample count over ``batches`` (no grad, eval mode)."""
         self.model.eval()
         total, count = 0.0, 0
         with no_grad():
-            for xb, yb in feed.eval_batches():
+            for xb, yb in batches:
                 loss = mse_loss(self._forward(xb), Tensor(yb))
                 total += float(loss.data) * len(xb)
                 count += len(xb)
         self.model.train()
+        return total, count
+
+    def evaluate(self, feed: BatchFeed) -> float:
+        """Mean MSE over the feed's test set (no grad, eval mode)."""
+        total, count = self._score(feed.eval_batches())
         if feed.eval_sharded and self.comm.size > 1:
             # Rank-local test shards: combine the sums so every rank sees the
             # same global test loss (keeps the plateau scheduler in lock-step).
             total = float(self.comm.allreduce(total, op="sum"))
             count = int(self.comm.allreduce(count, op="sum"))
+        return total / max(count, 1)
+
+    def evaluate_arrays(self, x: np.ndarray, y: np.ndarray, batch: int) -> float:
+        """Mean MSE over resident ``x, y`` in ``batch``-row chunks (no grad,
+        eval mode) — e.g. a held-out set outside the fit's feed."""
+        total, count = self._score(
+            (x[lo : lo + batch], y[lo : lo + batch]) for lo in range(0, x.shape[0], batch)
+        )
         return total / max(count, 1)
 
     # ---- the fit -----------------------------------------------------------

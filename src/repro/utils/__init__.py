@@ -1,4 +1,4 @@
-"""Shared utilities: configuration parsing, RNG management, logging, timing.
+"""Shared utilities: configuration parsing, RNG management, logging.
 
 The paper drives every sampling/training run from YAML case files
 (``subsample.py case.yaml``); :mod:`repro.utils.miniyaml` provides an
@@ -8,7 +8,6 @@ offline YAML-subset parser so the same UX works without PyYAML.
 from repro.utils.miniyaml import loads as yaml_loads, load_file as yaml_load_file, dumps as yaml_dumps
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 from repro.utils.rng import make_rng, spawn_rngs, seed_everything
-from repro.utils.timers import Timer, WallClock
 from repro.utils.log import get_logger
 
 __all__ = [
@@ -22,7 +21,5 @@ __all__ = [
     "make_rng",
     "spawn_rngs",
     "seed_everything",
-    "Timer",
-    "WallClock",
     "get_logger",
 ]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import Experiment, SubsampleArtifact, TrainArtifact
+from repro.runspec import SpecError
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 
 CASE_YAML = """
@@ -66,13 +67,13 @@ class TestConstruction:
             (2, 2, 7, 0.5, 3)
 
     def test_builder_validation(self):
-        exp = Experiment.from_case(make_case())
-        with pytest.raises(ValueError):
-            exp.with_ranks(0)
-        with pytest.raises(ValueError):
-            exp.with_scale(0.0)
-        with pytest.raises(ValueError):
-            exp.with_epochs(0)
+        """The setters only record; the stage call rejects, by RunSpec's rules."""
+        with pytest.raises(SpecError, match="ranks"):
+            Experiment.from_case(make_case()).with_ranks(0).subsample()
+        with pytest.raises(SpecError, match="scale"):
+            Experiment.from_case(make_case()).with_scale(0.0).subsample()
+        with pytest.raises(SpecError, match="epochs"):
+            Experiment.from_case(make_case()).with_epochs(0).train()
 
     def test_dataset_mutation_after_stage_refused(self):
         """Once a stage has run, seed/scale/dataset changes would desync the
@@ -242,6 +243,14 @@ class TestSources:
         assert exp2.ranks == 1  # per-call override leaves the config alone
         with pytest.raises(ValueError, match="ranks"):
             Experiment.from_case(make_case()).subsample(mode="stream", ranks=0)
+
+    def test_fit_settings_ride_past_the_subsample(self):
+        """A stage's spec holds only the settings that stage uses: epochs and
+        the stream shuffle pass a batch subsample and reach the stream fit."""
+        exp = (Experiment.from_case(make_case()).with_dataset(self._dataset())
+               .with_epochs(2).with_stream_shuffle(4).subsample().train(mode="stream"))
+        assert exp.train_artifact.result.meta["feed"]["shuffle"] == 4
+        assert exp.train_artifact.meta["epochs"] == 2
 
     def test_train_from_sharded_source(self, tmp_path):
         """Training windows assemble straight from an out-of-core source."""

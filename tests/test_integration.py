@@ -13,7 +13,7 @@ from repro.data import SubsampleStore, build_dataset
 from repro.metrics import nrmse, pdf_match_js
 from repro.nn import CNNTransformer, LSTMRegressor, MLPTransformer, Tensor, no_grad
 from repro.sampling import subsample
-from repro.train import Trainer, build_drag_data, build_reconstruction_data
+from repro.train import ArrayFeed, TrainLoop, build_drag_data, build_reconstruction_data
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 
 
@@ -48,7 +48,7 @@ class TestSSTWorkflow:
             out_channels=data.out_channels, grid=data.grid,
             d_model=16, depth=1, n_heads=2, rng=0,
         )
-        fit = Trainer(model, epochs=3, batch=4, seed=0).fit(data.x, data.y)
+        fit = TrainLoop(model, seed=0).fit(ArrayFeed(data.x, data.y, batch=4, seed=0), epochs=3)
         assert np.isfinite(fit.final_test_loss)
         assert fit.energy.total_energy > 0
 
@@ -65,7 +65,7 @@ class TestSSTWorkflow:
             in_channels=data.in_channels, out_channels=data.out_channels,
             grid=data.grid, d_model=16, depth=1, n_heads=2, rng=0,
         )
-        fit = Trainer(model, epochs=2, batch=2, seed=0).fit(data.x, data.y)
+        fit = TrainLoop(model, seed=0).fit(ArrayFeed(data.x, data.y, batch=2, seed=0), epochs=2)
         assert np.isfinite(fit.final_test_loss)
 
     def test_sampled_pdf_close_to_population(self, sst):
@@ -89,7 +89,7 @@ class TestOF2DWorkflow:
         res = subsample(ds, cfg, nranks=2, seed=0)
         x, y = build_drag_data(ds, res, window=3)
         model = LSTMRegressor(input_dim=x.shape[2], hidden=12, rng=0)
-        fit = Trainer(model, epochs=8, batch=8, lr=5e-3, seed=0).fit(x, y)
+        fit = TrainLoop(model, lr=5e-3, seed=0).fit(ArrayFeed(x, y, batch=8, seed=0), epochs=8)
         # Even a short run must beat predicting the mean badly.
         assert fit.final_test_loss < 10 * np.var(ds.target)
 

@@ -90,21 +90,22 @@ class TestMiscLayers:
 class TestTrainerVerbose:
     def test_verbose_logging_runs(self):
         from repro.nn import LSTMRegressor
-        from repro.train import Trainer
+        from repro.train import ArrayFeed, TrainLoop
 
         rng = np.random.default_rng(1)
         x = rng.standard_normal((12, 2, 3))
         y = rng.standard_normal((12, 1, 1))
         model = LSTMRegressor(input_dim=3, hidden=8, rng=0)
-        fit = Trainer(model, epochs=2, batch=4, seed=0, verbose=True).fit(x, y)
+        loop = TrainLoop(model, seed=0, verbose=True)
+        fit = loop.fit(ArrayFeed(x, y, batch=4, seed=0), epochs=2)
         assert fit.epochs_run == 2
 
     def test_invalid_gpu_rate(self):
         from repro.nn import LSTMRegressor
-        from repro.train import Trainer
+        from repro.train import TrainLoop
 
-        with pytest.raises(ValueError):
-            Trainer(LSTMRegressor(input_dim=2, rng=0), gpu_flops_rate=0.0)
+        with pytest.raises(ValueError):  # EnergyCallback's rate check
+            TrainLoop(LSTMRegressor(input_dim=2, rng=0), gpu_flops_rate=0.0)
 
 
 class TestCliModelFactory:

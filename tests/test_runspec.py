@@ -1,7 +1,7 @@
 """One table of invalid run specs, each rejected on every surface that can
 express it: ``repro-subsample`` / ``repro-train``, ``repro-submit``,
-``RunSpec.from_json(doc).validate()``, a live ``POST /v1/jobs``, and the
-library's ``subsample()``.
+``RunSpec.from_json(doc).validate()``, a live ``POST /v1/jobs``, the
+library's ``subsample()`` and an ``Experiment`` stage call.
 
 Each row is one invalid spec and names its rule once.  A ``drift`` row was
 accepted by at least one of those surfaces while each kept its own copy of
@@ -12,12 +12,22 @@ command's own options (``--checkpoint``/``--resume`` on ``repro-train``;
 ``repro-submit``) and the live-source ``SimulationSource`` replay check are
 not spec rules; tests/test_cli.py, tests/serve/test_serve_submit.py and the
 sampling suites pin them.
+
+The ``Experiment`` column leaves out the rows the facade cannot spell:
+``kind``, ``retries`` and ``prefetch``; the stream-producer knobs on a fit;
+``checkpoint_every`` and ``mode`` on ``tune()``; a ``fault_hook`` victim out
+of range (the hook names no rank); and ``tune_trials`` on a subsample.  It
+also leaves out ``seed-integer`` (a JSON type rule), ``case-valid``
+(``CaseConfig`` rejects a bad case before any experiment exists), and
+``epochs`` and ``stream_shuffle`` on a subsample stage, which the facade
+holds for a later fit.
 """
 
 import re
 
 import pytest
 
+from repro.api import Experiment
 from repro.cli import subsample_main, train_main
 from repro.data import InMemorySource, ShardDirSource, build_dataset, save_dataset
 from repro.runspec import RunSpec, SpecError
@@ -83,16 +93,24 @@ def kill_rank_1(rank, snapshots_done=0, rows_fed=0):
     return rank == 1 and rows_fed > 0
 
 
+#: spec field -> the facade's spelling, where it differs from the field name
+SAYS_FACADE = {"backend": "with_backend", "stream_shuffle": "with_stream_shuffle",
+               "tune_trials": "n_trials", "tune_strategy": "strategy",
+               "inject_rank_failure": "fault_hook"}
+
+
 class Row:
     """One invalid spec: ``doc`` overrides the base job document, ``case``
-    edits the case snapshot, ``call`` is the ``subsample()`` spelling (None
-    when the row has none) and ``says`` what every rejection must name."""
+    edits the case snapshot, ``call`` is the ``subsample()`` spelling and
+    ``exp`` the ``Experiment`` one (each None when the row has none), and
+    ``says`` what every rejection must name."""
 
     def __init__(self, rule, says, doc, *, case=None, call=None, call_says=None,
-                 drift=False):
+                 exp=None, exp_says=None, drift=False):
         self.rule, self.says, self.doc = rule, says, doc
         self.case = case or {}
         self.call, self.call_says, self.drift = call, call_says or says, drift
+        self.exp, self.exp_says = exp, exp_says or SAYS_FACADE.get(says, says)
 
     def __repr__(self):
         return self.rule
@@ -102,58 +120,78 @@ ROWS = [
     Row("kind-choice", "kind", {"kind": "bogus"}),
     Row("case-valid", "case", {}, case={"hypercubes": "bogus"}),
     Row("mode-choice", "mode", {"mode": "banana"},
-        call={"data": "memory", "mode": "banana"}),
+        call={"data": "memory", "mode": "banana"},
+        exp=lambda e: e.train(mode="banana")),
     Row("backend-choice", "backend", {"backend": "gpu"},
-        call={"data": "memory", "backend": "gpu"}),
+        call={"data": "memory", "backend": "gpu"},
+        exp=lambda e: e.with_backend("gpu").subsample()),
     Row("ranks-at-least-1", "ranks", {"ranks": 0},
-        call={"data": "memory", "nranks": 0}, call_says="nranks"),
+        call={"data": "memory", "nranks": 0}, call_says="nranks",
+        exp=lambda e: e.with_ranks(0).subsample()),
     Row("seed-integer", "seed", {"seed": 1.5}),
-    Row("scale-positive", "scale", {"scale": 0.0}),
-    Row("epochs-at-least-1", "epochs", {"kind": "train", "epochs": 0}),
+    Row("scale-positive", "scale", {"scale": 0.0},
+        exp=lambda e: e.with_scale(0.0).subsample()),
+    Row("epochs-at-least-1", "epochs", {"kind": "train", "epochs": 0},
+        exp=lambda e: e.with_epochs(0).train()),
     Row("retries-at-least-0", "retries", {"retries": -1}),
     Row("checkpoint-every-positive", "checkpoint_every",
-        {"kind": "train", "checkpoint_every": 0}),
+        {"kind": "train", "checkpoint_every": 0},
+        exp=lambda e: e.train(checkpoint_every=0), drift=True),
     Row("stream-shuffle-at-least-0", "stream_shuffle",
-        {"kind": "train", "mode": "stream", "stream_shuffle": -1}),
-    Row("tune-trials-at-least-1", "tune_trials", {"kind": "tune", "tune_trials": 0}),
-    Row("tune-needs-trials", "tune_trials", {"kind": "tune"}),
+        {"kind": "train", "mode": "stream", "stream_shuffle": -1},
+        exp=lambda e: e.with_stream_shuffle(-1).train(mode="stream")),
+    Row("tune-trials-at-least-1", "tune_trials", {"kind": "tune", "tune_trials": 0},
+        exp=lambda e: e.tune(n_trials=0)),
+    Row("tune-needs-trials", "tune_trials", {"kind": "tune"},
+        exp=lambda e: e.tune(n_trials=None)),
     Row("prefetch-needs-shard-source", "prefetch", {"prefetch": 2}),
     Row("owned-shards-needs-stream", "owned_shards",
         {"owned_shards": True, "source": SHARDS, "ranks": 2},
-        call={"data": "shards", "nranks": 2, "owned_shards": True}),
+        call={"data": "shards", "nranks": 2, "owned_shards": True},
+        exp=lambda e: e.subsample(ranks=2, owned_shards=True)),
     Row("owned-shards-needs-shard-source", "owned_shards",
         {"owned_shards": True, "mode": "stream", "ranks": 2},
-        call={"data": "memory", "mode": "stream", "nranks": 2, "owned_shards": True}),
+        call={"data": "memory", "mode": "stream", "nranks": 2, "owned_shards": True},
+        exp=lambda e: e.subsample(mode="stream", ranks=2, owned_shards=True)),
     Row("owned-shards-needs-peers", "owned_shards",
         {"owned_shards": True, "mode": "stream", "source": SHARDS},
-        call={"data": "shards", "mode": "stream", "owned_shards": True}),
+        call={"data": "shards", "mode": "stream", "owned_shards": True},
+        exp=lambda e: e.subsample(mode="stream", owned_shards=True)),
     Row("on-rank-failure-choice", "on_rank_failure",
         {"on_rank_failure": "retry", "mode": "stream", "ranks": 2},
         call={"data": "memory", "mode": "stream", "nranks": 2,
-              "on_rank_failure": "retry"}),
+              "on_rank_failure": "retry"},
+        exp=lambda e: e.subsample(mode="stream", ranks=2, on_rank_failure="retry")),
     Row("on-rank-failure-needs-stream", "on_rank_failure",
         {"on_rank_failure": "reweight", "ranks": 2},
-        call={"data": "memory", "nranks": 2, "on_rank_failure": "reweight"}),
+        call={"data": "memory", "nranks": 2, "on_rank_failure": "reweight"},
+        exp=lambda e: e.subsample(ranks=2, on_rank_failure="reweight")),
     Row("on-rank-failure-needs-peers", "on_rank_failure",
         {"on_rank_failure": "reweight", "mode": "stream"},
         call={"data": "memory", "mode": "stream", "on_rank_failure": "reweight"},
+        exp=lambda e: e.subsample(mode="stream", on_rank_failure="reweight"),
         drift=True),
     Row("inject-rank-failure-needs-stream", "inject_rank_failure",
         {"inject_rank_failure": 0, "ranks": 2},
         call={"data": "memory", "nranks": 2, "fault_hook": kill_rank_1},
-        call_says="fault_hook"),
+        call_says="fault_hook",
+        exp=lambda e: e.subsample(ranks=2, fault_hook=kill_rank_1)),
     Row("inject-rank-failure-needs-peers", "inject_rank_failure",
         {"inject_rank_failure": 0, "mode": "stream"},
         call={"data": "memory", "mode": "stream", "fault_hook": kill_rank_1},
-        call_says="fault_hook"),
+        call_says="fault_hook",
+        exp=lambda e: e.subsample(mode="stream", fault_hook=kill_rank_1)),
     Row("inject-rank-failure-in-range", "inject_rank_failure",
         {"inject_rank_failure": 5, "mode": "stream", "ranks": 2}),
     Row("tune-batch-only", "mode", {"kind": "tune", "tune_trials": 2, "mode": "stream"}),
-    Row("tune-serial-ranks", "ranks", {"kind": "tune", "tune_trials": 2, "ranks": 2}),
+    Row("tune-serial-ranks", "ranks", {"kind": "tune", "tune_trials": 2, "ranks": 2},
+        exp=lambda e: e.with_train_ranks(2).tune(n_trials=2), exp_says="with_train_ranks"),
     Row("tune-serial-backend", "backend",
-        {"kind": "tune", "tune_trials": 2, "backend": "process"}, drift=True),
+        {"kind": "tune", "tune_trials": 2, "backend": "process"},
+        exp=lambda e: e.with_backend("process").tune(n_trials=2), drift=True),
     Row("tune-strategy-choice", "tune_strategy",
-        {"kind": "tune", "tune_trials": 2, "tune_strategy": "grid"}, drift=True),
+        {"kind": "tune", "tune_trials": 2, "tune_strategy": "grid"},
+        exp=lambda e: e.tune(n_trials=2, strategy="grid"), drift=True),
     Row("tune-trials-tune-only", "tune_trials", {"tune_trials": 2}),
     Row("checkpoint-every-train-only", "checkpoint_every",
         {"kind": "tune", "tune_trials": 2, "checkpoint_every": 2}),
@@ -170,15 +208,19 @@ ROWS = [
     Row("stream-shuffle-train-only-not-subsample", "stream_shuffle",
         {"stream_shuffle": 4}, drift=True),
     Row("stream-shuffle-train-only-not-tune", "stream_shuffle",
-        {"kind": "tune", "tune_trials": 2, "stream_shuffle": 4}, drift=True),
+        {"kind": "tune", "tune_trials": 2, "stream_shuffle": 4},
+        exp=lambda e: e.with_stream_shuffle(4).tune(n_trials=2), drift=True),
     Row("stream-shuffle-needs-stream", "stream_shuffle",
-        {"kind": "train", "stream_shuffle": 4}, drift=True),
+        {"kind": "train", "stream_shuffle": 4},
+        exp=lambda e: e.with_stream_shuffle(4).train(), drift=True),
     Row("stream-needs-stream-sampler", "mode", {"mode": "stream"},
         case={"method": "uips"}, call={"data": "memory", "mode": "stream"},
-        call_says="no streaming analogue", drift=True),
+        call_says="no streaming analogue", exp=lambda e: e.subsample(mode="stream"),
+        exp_says="no streaming analogue", drift=True),
     Row("stream-never-full", "mode", {"mode": "stream"},
         case={"method": "full", "arch": "cnn_transformer"},
         call={"data": "memory", "mode": "stream"}, call_says="streaming analogue",
+        exp=lambda e: e.subsample(mode="stream"), exp_says="drop mode='stream'",
         drift=True),
 ]
 
@@ -219,6 +261,7 @@ def rows_for(surface: str) -> list:
         or argv_for("train", r) is not None,
         "submit": lambda r: argv_for("submit", r) is not None,
         "call": lambda r: r.call is not None,
+        "facade": lambda r: r.exp is not None,
     }.get(surface, lambda r: True)
     return [pytest.param(r, id=r.rule) for r in ROWS if keep(r)]
 
@@ -303,6 +346,40 @@ def test_subsample_call_rejects(row, dataset, shards):
     finally:
         if isinstance(source, ShardDirSource):
             source.close()
+
+
+@pytest.mark.parametrize("row", rows_for("facade"))
+def test_experiment_stage_call_rejects(row, dataset, shards):
+    source = ShardDirSource(shards) if row.doc.get("source") == SHARDS \
+        else InMemorySource(dataset)
+    exp = (Experiment.from_case(CaseConfig.from_dict(loads(case_yaml(row))))
+           .with_scale(0.5).with_source(source))
+    try:
+        with pytest.raises((ValueError, KeyError), match=row.exp_says):
+            row.exp(exp)
+    finally:
+        if isinstance(source, ShardDirSource):
+            source.close()
+    assert exp.artifacts == {}
+
+
+@pytest.mark.parametrize("stage", [
+    pytest.param(lambda e: e.with_ranks(0).subsample(), id="subsample"),
+    pytest.param(lambda e: e.with_stream_shuffle(4).train(), id="train"),
+    pytest.param(lambda e: e.with_backend("process").tune(n_trials=2), id="tune"),
+])
+def test_experiment_rejects_before_any_work(stage, monkeypatch):
+    """The spec check runs before the stage builds its (lazy catalog) source
+    or runs an implicit subsample."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the stage did work before checking its spec")
+
+    monkeypatch.setattr("repro.api.load_dataset", no_work)
+    monkeypatch.setattr("repro.api.subsample", no_work)
+    exp = Experiment.from_case(CaseConfig.from_dict(loads(CASE_YAML))).with_scale(0.5)
+    with pytest.raises(SpecError):
+        stage(exp)
+    assert exp.artifacts == {}
 
 
 IDENTITY = {"schema", "kind", "case", "seed", "ranks", "mode", "scale", "source"}

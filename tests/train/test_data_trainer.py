@@ -1,4 +1,4 @@
-"""Tests for training-data assembly and the Trainer loop."""
+"""Tests for training-data assembly and array fits (TrainLoop + ArrayFeed)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ from repro.data import build_dataset
 from repro.nn import LSTMRegressor, MLPTransformer, CNNTransformer
 from repro.sampling import subsample
 from repro.train import (
-    Trainer,
+    ArrayFeed,
+    TrainLoop,
     build_drag_data,
     build_reconstruction_data,
     train_test_split,
@@ -149,8 +150,8 @@ class TestTrainer:
         res = subsample(of2d, _of2d_case(), seed=0)
         x, y = build_drag_data(of2d, res, window=3)
         model = LSTMRegressor(input_dim=x.shape[2], hidden=16, rng=0)
-        trainer = Trainer(model, epochs=30, batch=8, lr=5e-3, seed=0)
-        result = trainer.fit(x, y)
+        loop = TrainLoop(model, lr=5e-3, seed=0)
+        result = loop.fit(ArrayFeed(x, y, batch=8, seed=0), epochs=30)
         assert result.final_test_loss < result.test_losses[0]
         assert result.energy.total_energy > 0
         assert len(result.train_losses) == 30
@@ -163,8 +164,8 @@ class TestTrainer:
             out_channels=data.out_channels, grid=data.grid,
             window=1, horizon=1, d_model=16, depth=1, n_heads=2, rng=0,
         )
-        trainer = Trainer(model, epochs=4, batch=4, seed=0)
-        result = trainer.fit(data.x, data.y)
+        loop = TrainLoop(model, seed=0)
+        result = loop.fit(ArrayFeed(data.x, data.y, batch=4, seed=0), epochs=4)
         assert np.isfinite(result.final_test_loss)
 
     def test_fit_cnn_transformer(self, sst):
@@ -174,15 +175,15 @@ class TestTrainer:
             in_channels=data.in_channels, out_channels=data.out_channels,
             grid=data.grid, window=1, horizon=1, d_model=16, depth=1, n_heads=2, rng=0,
         )
-        trainer = Trainer(model, epochs=2, batch=2, seed=0)
-        result = trainer.fit(data.x, data.y)
+        loop = TrainLoop(model, seed=0)
+        result = loop.fit(ArrayFeed(data.x, data.y, batch=2, seed=0), epochs=2)
         assert np.isfinite(result.final_test_loss)
 
     def test_report_greppable(self, of2d):
         res = subsample(of2d, _of2d_case(), seed=0)
         x, y = build_drag_data(of2d, res, window=2)
         model = LSTMRegressor(input_dim=x.shape[2], hidden=8, rng=0)
-        result = Trainer(model, epochs=2, seed=0).fit(x, y)
+        result = TrainLoop(model, seed=0).fit(ArrayFeed(x, y, seed=0), epochs=2)
         text = result.report()
         assert "Evaluation on test set" in text
         assert "Total Energy Consumed" in text
@@ -196,8 +197,9 @@ class TestTrainer:
 
         def prog(comm):
             model = LSTMRegressor(input_dim=x.shape[2], hidden=8, rng=0)
-            trainer = Trainer(model, epochs=10, batch=8, comm=comm, seed=0)
-            return trainer.fit(x, y).final_test_loss
+            loop = TrainLoop(model, comm=comm, seed=0)
+            feed = ArrayFeed(x, y, batch=8, seed=0, comm=loop.comm)
+            return loop.fit(feed, epochs=10).final_test_loss
 
         serial = prog(__import__("repro.parallel", fromlist=["SerialComm"]).SerialComm())
         dist = run_spmd(prog, 2)
@@ -209,13 +211,18 @@ class TestTrainer:
         res = subsample(of2d, _of2d_case(), seed=0)
         x, y = build_drag_data(of2d, res, window=2)
         model = LSTMRegressor(input_dim=x.shape[2], hidden=8, rng=0)
-        result = Trainer(model, epochs=2, precision="bf16", seed=0).fit(x, y)
+        loop = TrainLoop(model, precision="bf16", seed=0)
+        result = loop.fit(ArrayFeed(x, y, seed=0), epochs=2)
         assert np.isfinite(result.final_test_loss)
 
     def test_invalid_params(self):
         model = LSTMRegressor(input_dim=2, rng=0)
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((12, 3, 2)), rng.standard_normal((12, 1))
         with pytest.raises(ValueError):
-            Trainer(model, epochs=0)
+            TrainLoop(model).fit(ArrayFeed(x, y), epochs=0)
+        with pytest.raises(ValueError):
+            ArrayFeed(x, y, batch=0)
 
 
 class TestTuning:

@@ -14,7 +14,6 @@ from repro.train import (
     EarlyStopping,
     ShardedFeed,
     StreamFeed,
-    Trainer,
     TrainLoop,
     build_drag_data,
     stream_assembler,
@@ -64,30 +63,14 @@ def drag_xy(of2d):
 
 class TestArrayFeedEquivalence:
     """The tentpole invariant: the feed/loop refactor is byte-identical to
-    the classic epoch loop (golden: Trainer's documented RNG protocol)."""
-
-    def test_trainer_shim_equals_trainloop(self, drag_xy):
-        x, y = drag_xy
-        r1 = Trainer(
-            LSTMRegressor(input_dim=x.shape[2], hidden=8, rng=0),
-            epochs=5, batch=8, lr=5e-3, seed=0,
-        ).fit(x, y)
-        model = LSTMRegressor(input_dim=x.shape[2], hidden=8, rng=0)
-        loop = TrainLoop(model, lr=5e-3, seed=0)
-        feed = ArrayFeed(x, y, batch=8, seed=0)
-        r2 = loop.fit(feed, epochs=5)
-        assert r1.train_losses == r2.train_losses
-        assert r1.test_losses == r2.test_losses
-        assert r1.final_test_loss == r2.final_test_loss
-        assert r1.energy.flops_gpu == r2.energy.flops_gpu
-        assert r1.energy.elapsed == r2.energy.elapsed
+    the classic epoch loop (golden: ArrayFeed's documented RNG protocol)."""
 
     def test_fit_is_deterministic_per_seed(self, drag_xy):
         x, y = drag_xy
 
         def run():
             model = LSTMRegressor(input_dim=x.shape[2], hidden=8, rng=0)
-            return Trainer(model, epochs=4, batch=8, seed=3).fit(x, y)
+            return TrainLoop(model, seed=3).fit(ArrayFeed(x, y, batch=8, seed=3), epochs=4)
 
         a, b = run(), run()
         assert a.train_losses == b.train_losses
@@ -113,13 +96,12 @@ class TestArrayFeedEquivalence:
             feed.load_state({"kind": "StreamFeed", "epochs_streamed": 1})
 
     def test_refit_starts_fresh(self, drag_xy):
-        """fit() twice on one trainer (warm restart) must not accumulate the
+        """fit() twice on one loop (warm restart) must not accumulate the
         first fit's losses or double-count its energy."""
         x, y = drag_xy
-        trainer = Trainer(LSTMRegressor(input_dim=x.shape[2], hidden=8, rng=0),
-                          epochs=3, batch=8, seed=0)
-        r1 = trainer.fit(x, y)
-        r2 = trainer.fit(x, y)
+        loop = TrainLoop(LSTMRegressor(input_dim=x.shape[2], hidden=8, rng=0), seed=0)
+        r1 = loop.fit(ArrayFeed(x, y, batch=8, seed=0), epochs=3)
+        r2 = loop.fit(ArrayFeed(x, y, batch=8, seed=0), epochs=3)
         assert r1.epochs_run == r2.epochs_run == 3
         assert len(r2.train_losses) == 3
         # Same FLOP count per fit — the meter was reset, not accumulated.
@@ -127,15 +109,16 @@ class TestArrayFeedEquivalence:
         # Warm restart: weights continued from fit 1, so losses improved.
         assert r2.train_losses[0] < r1.train_losses[0]
 
-    def test_trainer_compat_attributes(self, drag_xy):
+    def test_evaluate_arrays_scores_like_evaluate(self, drag_xy):
+        """The array-level evaluate shares evaluate's scoring loop: over the
+        feed's own test split in the feed's batch size it is bitwise equal."""
         x, y = drag_xy
-        trainer = Trainer(LSTMRegressor(input_dim=x.shape[2], hidden=8, rng=0),
-                          epochs=2, seed=0)
-        assert trainer.optimizer is trainer.loop.optimizer
-        assert trainer.scheduler is not None
-        assert trainer.comm.size == 1
-        r = trainer.fit(x, y)
-        assert trainer.evaluate(x, y) > 0
+        loop = TrainLoop(LSTMRegressor(input_dim=x.shape[2], hidden=8, rng=0), seed=0)
+        feed = ArrayFeed(x, y, seed=0)
+        r = loop.fit(feed, epochs=2)
+        assert loop.evaluate_arrays(feed.x_te, feed.y_te, batch=16) == r.final_test_loss
+        assert loop.evaluate_arrays(x, y, batch=16) > 0
+        assert loop.model.training  # eval mode ends with the pass
         assert "Evaluation on test set" in r.report()
         assert r.meta["feed"]["kind"] == "ArrayFeed"
 

@@ -13,7 +13,6 @@ from repro.sampling import subsample
 from repro.train import (
     ArrayFeed,
     Checkpoint,
-    Trainer,
     TrainLoop,
     build_drag_data,
     peek_checkpoint,

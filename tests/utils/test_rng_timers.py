@@ -1,10 +1,9 @@
-"""Tests for RNG management and timers."""
+"""Tests for RNG management."""
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import make_rng, resolve_rng, spawn_rngs
-from repro.utils.timers import Timer
 
 
 class TestRng:
@@ -36,31 +35,3 @@ class TestRng:
     def test_resolve_seed(self):
         assert np.array_equal(resolve_rng(9).random(4), make_rng(9).random(4))
 
-
-class TestTimer:
-    def test_context_accumulates(self):
-        t = Timer()
-        with t:
-            sum(range(1000))
-        first = t.elapsed
-        assert first > 0
-        with t:
-            sum(range(1000))
-        assert t.elapsed > first
-
-    def test_double_start_rejected(self):
-        t = Timer().start()
-        with pytest.raises(RuntimeError):
-            t.start()
-        t.stop()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0
