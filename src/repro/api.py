@@ -47,7 +47,9 @@ facade (:meth:`Experiment.from_spec`); the figure examples call the pipeline
 and :class:`~repro.train.loop.TrainLoop` directly.  Under the hood each
 stage runs the composable :class:`~repro.sampling.stages.SubsamplePipeline`,
 so anything registered with ``register_sampler`` / ``register_selector`` /
-``register_stream_sampler`` is available here too.
+``register_stream_sampler`` is available here too.  Subsample and train
+ranks alike launch through the one SPMD driver (:mod:`repro.driver`), which
+gives each rank its source view.
 """
 
 from __future__ import annotations
@@ -63,15 +65,10 @@ from repro.data import load_dataset
 from repro.data.dataset import TurbulenceDataset
 from repro.data.npyfile import NpzFile
 from repro.data.points import PointSet
-from repro.data.sources import (
-    InMemorySource,
-    PartitionedSource,
-    ShardDirSource,
-    SnapshotSource,
-    open_source,
-)
+from repro.data.sources import InMemorySource, SnapshotSource, open_source
 from repro.data.store import META_KEY as _META_KEY
-from repro.data.store import OwnedShardLayout, points_from_npz, points_payload
+from repro.data.store import points_from_npz, points_payload
+from repro.driver import run_ranks
 from repro.energy.meter import EnergyMeter
 from repro.runspec import RunSpec, check_stage
 from repro.sampling.pipeline import SubsampleResult, subsample
@@ -626,8 +623,8 @@ class Experiment:
         stream-mode subsample's sampled points become fixed sensors and
         windows are built incrementally as snapshots arrive from the source
         — bounded memory, no resident dataset; with ``with_train_ranks(N)``
-        each DDP rank streams its own snapshot span (per-rank feeds over an
-        :class:`~repro.data.store.OwnedShardLayout` for sharded sources).
+        each DDP rank streams its own snapshot span (the driver's ``owned``
+        view: a private owned-shard directory for sharded sources).
 
         ``checkpoint`` writes a resumable checkpoint every
         ``checkpoint_every`` epochs; ``resume`` continues a fit from one,
@@ -696,7 +693,7 @@ class Experiment:
         case = self.case
         x, y, spec, input_dim = self._assemble_batch_data(result)
 
-        def run(comm=None) -> TrainResult:
+        def run(comm, _) -> TrainResult:
             # Each rank builds its own replica (identical seed/init; DDP
             # broadcasts rank 0's weights anyway) so thread ranks never race
             # on one shared module's gradients.
@@ -710,79 +707,40 @@ class Experiment:
                              seed=self.seed, comm=loop.comm)
             return loop.fit(feed, epochs=epochs, resume=resume)
 
-        if self.train_ranks > 1:
-            from repro.parallel import run_spmd
-
-            return run_spmd(lambda comm: run(comm), self.train_ranks,
-                            backend=self.backend)[0]
-        return run()
+        return run_ranks(run, self.train_ranks, backend=self.backend).values[0]
 
     def _train_stream(self, result, epochs, resume, checkpoint,
                       checkpoint_every, callbacks=None) -> TrainResult:
-        """Fit incrementally off the streaming source (no resident dataset)."""
+        """Fit incrementally off the streaming source (no resident dataset);
+        each DDP rank streams its own span of it (:mod:`repro.driver`)."""
         case = self.case
         source = self.source
         points = result.points
-        nranks = self.train_ranks
 
-        def run(comm=None, layout=None) -> TrainResult:
-            rank_source = None  # a per-rank private source this rank must close
-            try:
-                if comm is not None and comm.size > 1:
-                    from repro.parallel.partition import stream_partitions
+        def run(comm, rank_source) -> TrainResult:
+            assembler = stream_assembler(rank_source, case, points)
+            if comm.size > 1:
+                feed = ShardedFeed.for_rank(
+                    comm, rank_source, assembler, source.n_snapshots,
+                    batch=case.train.batch, test_frac=case.train.test_frac,
+                    seed=self.seed, shuffle=self.stream_shuffle,
+                )
+            else:
+                feed = StreamFeed(
+                    rank_source, assembler, batch=case.train.batch,
+                    test_frac=case.train.test_frac, seed=self.seed,
+                    shuffle=self.stream_shuffle,
+                )
+            spec = feed.spec
+            model = build_model_for_case(case, spec, input_dim=spec.input_dim,
+                                         rng=self.seed)
+            loop = self._loop_for(model, comm=comm, checkpoint=checkpoint,
+                                  checkpoint_every=checkpoint_every,
+                                  extra_callbacks=callbacks)
+            return loop.fit(feed, epochs=epochs, resume=resume)
 
-                    parts = stream_partitions(source.n_snapshots, comm.size)
-                    part = parts[comm.rank]
-                    if layout is not None:
-                        # reopen() keeps the source's own knobs (and tier:
-                        # remote ranks stage their owned shards privately).
-                        rank_source = source.reopen(layout.rank_dir(comm.rank))
-                        span_source = rank_source
-                    else:
-                        span_source = PartitionedSource(source, part.lo, part.hi)
-                    assembler = stream_assembler(span_source, case, points)
-                    feed = ShardedFeed.for_rank(
-                        comm, span_source, assembler, source.n_snapshots,
-                        batch=case.train.batch, test_frac=case.train.test_frac,
-                        seed=self.seed, shuffle=self.stream_shuffle,
-                    )
-                else:
-                    assembler = stream_assembler(source, case, points)
-                    feed = StreamFeed(
-                        source, assembler, batch=case.train.batch,
-                        test_frac=case.train.test_frac, seed=self.seed,
-                        shuffle=self.stream_shuffle,
-                    )
-                spec = feed.spec
-                model = build_model_for_case(case, spec, input_dim=spec.input_dim,
-                                             rng=self.seed)
-                loop = self._loop_for(model, comm=comm, checkpoint=checkpoint,
-                                      checkpoint_every=checkpoint_every,
-                                      extra_callbacks=callbacks)
-                return loop.fit(feed, epochs=epochs, resume=resume)
-            finally:
-                # Close before the outer finally removes the owned-shard
-                # layout, so no prefetch thread outlives its shard files —
-                # even when feed construction itself raised.
-                if rank_source is not None:
-                    rank_source.close()
-
-        if nranks > 1:
-            from repro.parallel import run_spmd
-
-            # Sharded sources get true per-rank I/O ownership: a private
-            # shard directory, LRU, and prefetcher per DDP rank.
-            layout = (
-                OwnedShardLayout.build(source.layout_path, nranks)
-                if isinstance(source, ShardDirSource) else None
-            )
-            try:
-                return run_spmd(lambda comm: run(comm, layout), nranks,
-                                backend=self.backend)[0]
-            finally:
-                if layout is not None:
-                    layout.remove()
-        return run()
+        return run_ranks(run, self.train_ranks, source, view="owned",
+                         backend=self.backend).values[0]
 
     def tune(
         self,

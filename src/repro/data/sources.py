@@ -948,17 +948,6 @@ class PartitionedSource(SnapshotSource):
         self.gravity = base.gravity
         self.target = base.target[lo:hi] if base.target is not None else None
 
-    @classmethod
-    def split(cls, source: SnapshotSource, nranks: int) -> list[PartitionedSource]:
-        """One contiguous view per rank (sizes differ by at most one
-        snapshot; trailing views are empty when ``nranks > n_snapshots``)."""
-        from repro.parallel.partition import stream_partitions
-
-        return [
-            cls(source, part.lo, part.hi)
-            for part in stream_partitions(source.n_snapshots, nranks)
-        ]
-
     @property
     def n_snapshots(self) -> int:
         return self.hi - self.lo

@@ -388,20 +388,6 @@ class OwnedShardLayout:
             raise
         return cls(root, path, spans)
 
-    def rank_source(
-        self, rank: int, max_cached: int = 2, prefetch: int = 0, lazy: bool = True
-    ):
-        """Open rank `rank`'s owned directory as a private
-        :class:`~repro.data.sources.ShardDirSource` (its own LRU and, with
-        ``prefetch > 0``, its own background decode thread — close it when
-        the rank is done).  The shard codec is auto-detected from the
-        per-rank manifest."""
-        from repro.data.sources import ShardDirSource
-
-        return ShardDirSource(
-            self.rank_dir(rank), max_cached=max_cached, prefetch=prefetch, lazy=lazy
-        )
-
     def remove(self) -> None:
         """Delete the materialized layout (the base directory is untouched)."""
         if os.path.isdir(self.root):

@@ -20,7 +20,7 @@ producer fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "block_partition",
@@ -117,10 +117,6 @@ class ProducerReport:
     stream_mass: float = 0.0
     failed: bool = False
     error: str | None = None
-    #: per-rank schema-2 ``cache_info()`` dict (owned-shard runs): codec,
-    #: tier, and ``{"counters", "gauges"}`` sections — the shape
-    #: :func:`repro.data.sources.aggregate_cache_info` sums across ranks
-    cache_info: dict | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not (0 <= self.snapshots_done <= self.partition.n):

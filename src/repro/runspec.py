@@ -247,19 +247,11 @@ class RunSpec:
         except (ValueError, TypeError, KeyError, AttributeError) as exc:
             raise SpecError(f"invalid case config: {exc}") from None
         sharded = bool(self.source) and self.source != "sim"
-        try:
-            self._check(say, sharded=sharded, method=case.subsample.method)
-        except KeyError as exc:  # the stream registry has no analogue
-            raise SpecError(f"{say.stream} needs a method with a streaming "
-                            f"sampler: {exc.args[0]}") from None
+        self._check(say, sharded=sharded, method=case.subsample.method)
         return case
 
     def _check(self, say: _Say, *, sharded: bool, method: str) -> None:
-        """Every option rule, spelled by ``say``.
-
-        Raises :class:`SpecError`, or the stream registry's ``KeyError``
-        when stream mode names a method with no streaming analogue.
-        """
+        """Every option rule, spelled by ``say``; raises :class:`SpecError`."""
         for f in _FIELDS:
             m, value = f.metadata, getattr(self, f.name)
             if value is None or value == f.default:  # defaults are valid
@@ -314,7 +306,11 @@ class RunSpec:
             if method == "full":
                 raise SpecError("method 'full' keeps dense cubes and has no "
                                 f"single-pass streaming analogue; drop {say.stream}")
-            stream_sampler_cls(method)
+            try:
+                stream_sampler_cls(method)
+            except KeyError as exc:  # the stream registry has no analogue
+                raise SpecError(f"{say.stream} needs a method with a streaming "
+                                f"sampler: {exc.args[0]}") from None
 
     # ---- derived values ---------------------------------------------------
 
@@ -501,7 +497,7 @@ def check_call(source, config: CaseConfig, *, mode: str, nranks: int, backend: s
     """The spec rules for a direct library subsample call.
 
     :func:`~repro.sampling.pipeline.subsample` and
-    :func:`~repro.sampling.streaming.run_stream_subsample` call this with
+    :func:`~repro.sampling.pipeline.run_stream_subsample` call this with
     their own arguments; a ``fault_hook`` counts as an injected failure.
     """
     spec = RunSpec(
@@ -520,7 +516,9 @@ def check_stage(spec: RunSpec, source: SnapshotSource | None, method: str,
     A :class:`~repro.data.sources.ShardDirSource` is a shard source; ``None``
     is the catalog source a facade has not built yet.  One rule needs the
     live source: a :class:`~repro.data.sources.SimulationSource` that replays
-    on backstep cannot serve several subsample ranks' interleaved requests.
+    on backstep cannot serve the interleaved requests of several ranks that
+    share it — a subsample's or a stream fit's.  A batch fit's ranks read
+    arrays built once in the caller, so they may.
     """
     from repro.data.sources import ShardDirSource, SimulationSource
 
@@ -530,7 +528,8 @@ def check_stage(spec: RunSpec, source: SnapshotSource | None, method: str,
     got = "the in-memory catalog" if source is None else type(source).__name__
     say = dataclasses.replace(say, shard_source=f"{say.shard_source}; got {got}")
     spec._check(say, sharded=isinstance(source, ShardDirSource), method=method)
-    if (spec.kind == "subsample" and isinstance(source, SimulationSource)
+    if ((spec.kind == "subsample" or spec.mode == "stream")
+            and isinstance(source, SimulationSource)
             and spec.ranks > 1 and source.max_cached < source.n_snapshots):
         ranks = say("ranks")
         raise SpecError(

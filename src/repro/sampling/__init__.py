@@ -96,15 +96,16 @@ from repro.sampling.stages import (
     PipelineContext,
     PointSampleStage,
     Stage,
+    StreamFeedStage,
+    StreamMergeStage,
     SubsamplePipeline,
     SubsampleResult,
 )
-from repro.sampling.pipeline import subsample
+from repro.sampling.pipeline import run_stream_subsample, subsample
 from repro.sampling.streaming import (
     ReservoirSampler,
     ReservoirStream,
     StreamingMaxEnt,
-    run_stream_subsample,
 )
 
 __all__ = [
@@ -147,6 +148,8 @@ __all__ = [
     "CubeSelectStage",
     "PointSampleStage",
     "GatherStage",
+    "StreamFeedStage",
+    "StreamMergeStage",
     "SubsamplePipeline",
     "SubsampleResult",
     "subsample",

@@ -39,11 +39,12 @@ _REGISTRY: dict[str, type[Sampler]] = {}
 _STREAM_REGISTRY: dict[str, type[StreamSampler]] = {}
 
 
-def failed_producers_error(dead: list) -> RuntimeError:
+def failed_producers_error(dead: list[tuple[int, str | None]]) -> RuntimeError:
     """The one error for dead stream producers under the ``"raise"`` policy
     (shared by :meth:`StreamSampler.merge_partial` and the streaming
-    pipeline, so the message — including the remedy — cannot drift)."""
-    detail = "; ".join(f"rank {r.rank}: {r.error or 'died mid-span'}" for r in dead)
+    pipeline, so the message — including the remedy — cannot drift);
+    ``dead`` holds each dead producer's ``(rank, error)``."""
+    detail = "; ".join(f"rank {rank}: {error or 'died mid-span'}" for rank, error in dead)
     return RuntimeError(
         f"{len(dead)} stream producer(s) failed ({detail}); rerun with the "
         "'reweight' policy (on_rank_failure='reweight') to merge the "
@@ -281,7 +282,7 @@ class StreamSampler(abc.ABC):
         if reports is not None:
             if len(reports) != len(samplers):
                 raise ValueError("reports must match samplers")
-            dead = [r for r in reports if r.failed]
+            dead = [(r.rank, r.error) for r in reports if r.failed]
             if dead and on_failure == "raise":
                 raise failed_producers_error(dead)
         live = [s for s in samplers if s.n_seen > 0]

@@ -2,7 +2,8 @@
 
 The paper's ``subsample.py`` monolith is decomposed into five named stages,
 each an object with a ``run(ctx)`` method satisfying the :class:`Stage`
-protocol and communicating through a shared mutable :class:`PipelineContext`:
+protocol and communicating through a shared mutable :class:`PipelineContext`.
+Two more stages make up the single-pass stream pipeline:
 
 ==========================  ================================================
 :class:`CubeIndexStage`     enumerate the global cube tiling and take this
@@ -17,12 +18,18 @@ protocol and communicating through a shared mutable :class:`PipelineContext`:
                             rank's share of the selected cubes (or keep them
                             dense for ``method='full'``)
 :class:`GatherStage`        gather points/cubes and counters to rank 0
+:class:`StreamFeedStage`    stream mode — feed this rank's streaming sampler
+                            over its source view, chunk by chunk, and report
+                            what it delivered
+:class:`StreamMergeStage`   stream mode — gather every rank's sampler and
+                            report, ``merge_partial`` them on rank 0
 ==========================  ================================================
 
 :class:`SubsamplePipeline` composes the stages (any sequence of stage objects
 can be substituted — cache a stage, skip one, interleave new ones) and wraps
 the run in per-rank energy metering.  :func:`repro.sampling.pipeline.subsample`
-launches the default pipeline over SPMD ranks.
+runs the default list, or the two stream stages, on the ranks of the SPMD
+driver (:mod:`repro.driver`).
 
 Since the stream-first redesign every stage consumes a
 :class:`~repro.data.sources.SnapshotSource` chunk-by-chunk — snapshots are
@@ -53,8 +60,9 @@ from repro.data.points import PointSet
 from repro.data.sources import SnapshotSource, open_source
 from repro.energy.meter import EnergyMeter
 from repro.parallel.comm import Communicator
-from repro.parallel.partition import block_bounds
-from repro.sampling.base import Sampler, get_sampler
+from repro.parallel.partition import ProducerReport, block_bounds, stream_partitions
+from repro.parallel.threadcomm import RankFailure
+from repro.sampling.base import Sampler, StreamSampler, get_sampler, get_stream_sampler
 from repro.sampling.entropy import check_bin_count, cube_moments, group_distributions
 from repro.sampling.selectors import get_selector
 from repro.utils.config import CaseConfig
@@ -70,6 +78,8 @@ __all__ = [
     "CubeSelectStage",
     "PointSampleStage",
     "GatherStage",
+    "StreamFeedStage",
+    "StreamMergeStage",
     "SubsamplePipeline",
 ]
 
@@ -120,7 +130,6 @@ class PipelineContext:
     meter: EnergyMeter | None = None
 
     # ---- derived configuration (filled in __post_init__) ----
-    cube_shape: tuple[int, ...] = ()
     cluster_var: str = ""
     input_vars: list[str] = field(default_factory=list)
     point_vars: list[str] = field(default_factory=list)
@@ -128,6 +137,7 @@ class PipelineContext:
     root_rng: np.random.Generator | None = None
 
     # ---- stage products ----
+    cube_shape: tuple[int, ...] = ()
     index: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
     n_cubes: int = 0
     my_cubes: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
@@ -141,11 +151,15 @@ class PipelineContext:
     gathered_points: list[list[PointSet]] | None = None
     gathered_full: list[list[Hypercube]] | None = None
     total_scanned: int = 0
+    #: this rank's streaming sampler; on rank 0 of several, after
+    #: :class:`StreamMergeStage`, the merged state (None: nothing to draw from)
+    sampler: StreamSampler | None = None
+    report: ProducerReport | None = None
+    #: every rank's report, on rank 0 of a multi-rank stream run
+    reports: list[ProducerReport] | None = None
 
     def __post_init__(self) -> None:
         check_bin_count("hist_bins", self.hist_bins)
-        sub = self.config.subsample
-        self.cube_shape = sub.hypercube_shape[: self.source.ndim]
         self.cluster_var = self.source.cluster_var
         self.input_vars = list(self.source.input_vars)
         self.point_vars = list(dict.fromkeys(
@@ -186,6 +200,7 @@ class CubeIndexStage:
 
     def run(self, ctx: PipelineContext) -> None:
         sub = ctx.config.subsample
+        ctx.cube_shape = sub.hypercube_shape[: ctx.source.ndim]
         origins = hypercube_origins(ctx.source.grid_shape, ctx.cube_shape)
         ctx.index = [(s, o) for s in range(ctx.source.n_snapshots) for o in origins]
         ctx.n_cubes = len(ctx.index)
@@ -369,6 +384,104 @@ class GatherStage:
         ctx.total_scanned = comm.allreduce(ctx.scanned, op="sum")
 
 
+@dataclass
+class StreamFeedStage:
+    """Stream mode: feed this rank's sampler over its source view, one chunk
+    of rows at a time, and report what it delivered.
+
+    The caller resolves the run-wide facts before launch: the
+    ``value_range`` every producer bins on, and the global ``n_snapshots``
+    and ``rows_per_snapshot`` that spans and deliveries are counted in.  One
+    rank draws from ``rng=seed``, several from their :class:`PipelineContext`
+    streams.  After each chunk an armed fault hook may kill the producer; so
+    may a genuine error, which ``on_rank_failure="raise"`` re-raises and
+    ``"reweight"`` records, keeping the rows already fed.
+    """
+
+    name = "stream-feed"
+    value_range: tuple[float, float] | None
+    n_snapshots: int
+    rows_per_snapshot: int
+    chunk_rows: int = 65536
+    on_rank_failure: str = "raise"
+
+    def run(self, ctx: PipelineContext) -> None:
+        comm, sub = ctx.comm, ctx.config.subsample
+        kwargs = {}
+        if sub.method == "maxent":
+            kwargs = {"n_clusters": sub.num_clusters, "bins": ctx.hist_bins}
+        sampler = ctx.sampler = get_stream_sampler(
+            sub.method, n_samples=sub.num_hypercubes * sub.num_samples,
+            value_range=self.value_range,
+            rng=ctx.seed if comm.size == 1 else ctx.rng, **kwargs,
+        )
+        part = stream_partitions(self.n_snapshots, comm.size)[comm.rank]
+        vcol = ctx.point_vars.index(ctx.cluster_var)
+
+        def delivered() -> int:
+            # Grids are homogeneous, so delivered rows determine exactly how
+            # many span snapshots are fully streamed — correct even when a
+            # death lands on a snapshot's final chunk.
+            return min(part.n, int(sampler.n_seen) // self.rows_per_snapshot)
+
+        failed, err = False, None
+        try:
+            for _, time, coords, table in ctx.source.iter_tables(
+                    ctx.point_vars, chunk_rows=self.chunk_rows):
+                values = table[:, vcol]
+                payload = np.column_stack([np.full(values.shape[0], time), coords, table])
+                sampler.feed(values, payload)
+                if ctx.meter is not None:
+                    ctx.meter.record(flops=sampler.cost_per_point * 2.0 * values.size,
+                                     nbytes=float(payload.nbytes), device="cpu")
+                comm.account_compute(sampler.cost_per_point * float(values.size))
+                comm.maybe_fail(snapshots_done=delivered(), rows_fed=int(sampler.n_seen))
+        except RankFailure as exc:
+            failed, err = True, str(exc)
+        except Exception as exc:
+            if self.on_rank_failure == "raise":
+                raise
+            failed, err = True, f"{type(exc).__name__}: {exc}"
+        ctx.report = ProducerReport(
+            partition=part, snapshots_done=delivered(), n_seen=int(sampler.n_seen),
+            stream_mass=float(sampler.n_seen), failed=failed, error=err,
+        )
+
+
+@dataclass
+class StreamMergeStage:
+    """Stream mode: gather every rank's sampler and report to rank 0, which
+    merges the delivered states with ``merge_partial`` by delivered mass.
+
+    The gather and the weighted redraw land on the virtual clock like any
+    collective.  Rank 0 merges nothing when every producer came up empty, or
+    when one died under ``on_rank_failure="raise"``; the caller then raises.
+    One rank has nothing to gather and keeps its own state.
+    """
+
+    name = "stream-merge"
+    on_rank_failure: str = "raise"
+
+    def run(self, ctx: PipelineContext) -> None:
+        comm = ctx.comm
+        if comm.size == 1:
+            return
+        gathered = comm.gather((ctx.sampler, ctx.report), root=0)
+        if comm.rank != 0:
+            return
+        samplers = [g[0] for g in gathered]
+        ctx.reports = [g[1] for g in gathered]
+        ctx.sampler = None
+        delivered = sum(1 for s in samplers if s.n_seen > 0)
+        if delivered and (self.on_rank_failure == "reweight"
+                          or not any(r.failed for r in ctx.reports)):
+            ctx.sampler = type(samplers[0]).merge_partial(
+                samplers, ctx.reports, on_failure="reweight", rng=ctx.root_rng,
+            )
+            sub = ctx.config.subsample
+            comm.account_compute(float(delivered * sub.num_hypercubes * sub.num_samples))
+
+
 class SubsamplePipeline:
     """The two-phase pipeline as an ordered composition of stages.
 
@@ -419,6 +532,8 @@ class SubsamplePipeline:
 
     @staticmethod
     def _build_result(ctx: PipelineContext, meter: EnergyMeter) -> SubsampleResult:
+        if ctx.report is not None:
+            return _stream_result(ctx, meter)
         sub = ctx.config.subsample
         points: PointSet | None = None
         cubes: list[Hypercube] | None = None
@@ -446,3 +561,28 @@ class SubsamplePipeline:
                 "case": ctx.config.to_dict(),
             },
         )
+
+
+def _stream_result(ctx: PipelineContext, meter: EnergyMeter) -> SubsampleResult:
+    """A stream run's result: on rank 0 the draw from the merged state (no
+    points when there is none) and the producer reports of several ranks.
+    Describing the run in the points' and the result's meta is the caller's."""
+    points, n_seen, meta = None, 0, {}
+    if ctx.comm.rank == 0 and ctx.sampler is not None and ctx.sampler.n_seen > 0:
+        rows = ctx.sampler.finalize()
+        # rows are [value, time, coords..., point_vars...]
+        d = rows.shape[1] - 2 - len(ctx.point_vars)
+        points = PointSet(
+            coords=rows[:, 2 : 2 + d],
+            values={v: rows[:, 2 + d + j] for j, v in enumerate(ctx.point_vars)},
+            time=rows[:, 1],
+        )
+        n_seen = int(ctx.sampler.n_seen)
+    if ctx.reports is not None:
+        meta = {"producers": [r.to_meta() for r in ctx.reports],
+                "failed_ranks": [r.rank for r in ctx.reports if r.failed]}
+    return SubsampleResult(
+        points=points, cubes=None, selected_cube_ids=np.empty(0, dtype=np.int64),
+        n_candidate_cubes=0, n_points_scanned=n_seen, energy=meter,
+        virtual_time=ctx.comm.clock.t, meta=meta,
+    )

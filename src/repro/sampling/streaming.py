@@ -29,13 +29,11 @@ reservoirs — so a K-producer run is distributionally equivalent to a
 single producer over the whole stream, and bit-deterministic given the
 seed and rank count.
 
-:func:`run_stream_subsample` drives either over any
-:class:`~repro.data.sources.SnapshotSource` — it is what
+:func:`repro.sampling.pipeline.run_stream_subsample` (what
 ``subsample(source, config, mode="stream")`` and
-``Experiment...subsample(mode="stream")`` execute.  With ``nranks > 1`` it
-launches one SPMD producer per rank over a
-:class:`~repro.data.sources.PartitionedSource` snapshot span, gathers the
-per-rank sampler states, and merges on rank 0.
+``Experiment...subsample(mode="stream")`` execute) feeds them, one per
+rank, through the stream stages of :mod:`repro.sampling.stages`; this
+module holds only the samplers and their merge math.
 """
 
 from __future__ import annotations
@@ -46,27 +44,10 @@ import numpy as np
 
 from repro.cluster.kmeans import MiniBatchKMeans
 from repro.data.points import PointSet
-from repro.data.sources import (
-    PartitionedSource,
-    ShardDirSource,
-    SnapshotSource,
-    aggregate_cache_info,
-    open_source,
-)
-from repro.data.store import OwnedShardLayout
-from repro.energy.meter import EnergyMeter
-from repro.parallel.partition import ProducerReport, stream_partitions
-from repro.parallel.perfmodel import PerfModel
-from repro.parallel.spmd import run_spmd
-from repro.parallel.threadcomm import RankFailure
-from repro.runspec import check_call
 from repro.sampling.base import (
     StreamSampler,
-    failed_producers_error,
     fold_weighted_merge,
-    get_stream_sampler,
     register_stream_sampler,
-    stream_sampler_cls,
 )
 from repro.sampling.entropy import (
     check_bin_count,
@@ -75,15 +56,13 @@ from repro.sampling.entropy import (
     strength_weights,
 )
 from repro.sampling.stratified import allocate_counts
-from repro.utils.config import CaseConfig
-from repro.utils.rng import resolve_rng, spawn_rngs
+from repro.utils.rng import resolve_rng
 
 __all__ = [
     "ReservoirSampler",
     "ReservoirStream",
     "StreamingMaxEnt",
     "merge_reservoir_rows",
-    "run_stream_subsample",
 ]
 
 
@@ -514,350 +493,3 @@ class StreamingMaxEnt(StreamSampler):
         coords = payload[:, :coords_cols] if coords_cols else np.zeros((len(rows), 1))
         return PointSet(coords=coords, values={"value": values},
                         meta={"method": "streaming-maxent", "n_seen": self.n_seen})
-
-
-def _resolve_stream_value_range(
-    source: SnapshotSource,
-    sampler_cls,
-    cluster_var: str,
-    point_vars: list[str],
-    vcol: int,
-    value_range: tuple[float, float] | None,
-    chunk_rows: int,
-) -> tuple[float, float] | None:
-    """Histogram range for binning stream samplers, agreed before streaming.
-
-    Preference order: the caller's `value_range`, the source's
-    :meth:`~repro.data.sources.SnapshotSource.value_range_hint`, or (last
-    resort) the first chunk's span widened 3×.  Non-binning samplers skip
-    the whole question (the hint can cost a full extra scan on in-memory
-    sources).  Resolved once, up front, so every SPMD producer bins on
-    identical edges.
-    """
-    if value_range is not None or not sampler_cls.needs_value_range:
-        return value_range
-    vr = source.value_range_hint(cluster_var)
-    if vr is not None:
-        return vr
-    for _, _, _, table in source.iter_tables(point_vars, chunk_rows=chunk_rows):
-        values = table[:, vcol]
-        if values.size:
-            lo, hi = float(values.min()), float(values.max())
-            span = (hi - lo) or 1.0
-            return (lo - span, hi + span)
-    return None
-
-
-def _feed_stream(
-    sampler: StreamSampler,
-    source: SnapshotSource,
-    point_vars: list[str],
-    vcol: int,
-    chunk_rows: int,
-    meter: EnergyMeter,
-    on_chunk=None,
-    fault_check=None,
-) -> None:
-    """Stream one producer's span through its sampler, metering each chunk.
-
-    ``fault_check(snapshot_index)`` runs after every fed chunk — the
-    per-chunk checkpoint where an armed fault hook kills the producer
-    (raising :class:`~repro.parallel.threadcomm.RankFailure` out of this
-    loop with the already-fed rows retained in the sampler).
-    """
-    for s, time, coords, table in source.iter_tables(point_vars, chunk_rows=chunk_rows):
-        values = table[:, vcol]
-        payload = np.column_stack([np.full(values.shape[0], time), coords, table])
-        sampler.feed(values, payload)
-        meter.record(
-            flops=sampler.cost_per_point * 2.0 * values.size,
-            nbytes=float(payload.nbytes),
-            device="cpu",
-        )
-        if on_chunk is not None:
-            on_chunk(values.size)
-        if fault_check is not None:
-            fault_check(s)
-
-
-def run_stream_subsample(
-    source: SnapshotSource,
-    config: CaseConfig,
-    seed: int = 0,
-    chunk_rows: int = 65536,
-    value_range: tuple[float, float] | None = None,
-    hist_bins: int = 50,
-    nranks: int = 1,
-    model: PerfModel | None = None,
-    owned_shards: bool = False,
-    on_rank_failure: str = "raise",
-    fault_hook=None,
-    backend: str = "thread",
-):
-    """Single- or multi-producer streaming subsample over any snapshot source.
-
-    Streams the source as bounded row chunks through the registered
-    streaming analogue of the case's ``method`` (reservoir for ``random``,
-    online MaxEnt for ``maxent``), without cube selection and without a
-    phase-2 revisit — the in-situ path where the data flies by exactly
-    once.  The point budget matches the batch pipeline's total
-    (``num_hypercubes * num_samples``).
-
-    ``nranks > 1`` runs one SPMD producer per rank: the snapshot sequence is
-    block-partitioned, each rank feeds its own sampler over its span,
-    per-rank states are gathered to rank 0, and
-    :meth:`~repro.sampling.base.StreamSampler.merge_partial` recombines them
-    by weighted draw — distributionally equivalent to the single-producer
-    run and bit-deterministic given ``seed`` and ``nranks``.
-    ``virtual_time`` is then the makespan of the slowest rank under the
-    LogGP `model`, and the energy meter merges all ranks.
-
-    ``backend`` picks the rank substrate — ``"thread"`` (deterministic
-    virtual-time modeling under the GIL, the default) or ``"process"``
-    (forked workers over :class:`~repro.parallel.procomm.ProcessComm` with
-    shared-memory transport; real wall-clock parallelism).  Both yield
-    byte-identical samples and virtual clocks for the same (seed, nranks);
-    on the process backend each rank reopens sharded sources privately so
-    no LRU/prefetch state crosses the fork.
-
-    ``owned_shards=True`` (sharded sources only) replaces the shared-cache
-    :class:`~repro.data.sources.PartitionedSource` view with true per-rank
-    I/O isolation: an :class:`~repro.data.store.OwnedShardLayout` gives
-    every rank its own shard directory, private bounded LRU, and private
-    prefetch thread over a disjoint file set; per-rank ``cache_info()``
-    counters land in ``meta["cache"]`` with their cross-rank aggregate.
-
-    Producers can die mid-span — for real (an exception while streaming) or
-    injected (``fault_hook(rank, snapshots_done=..., rows_fed=...)`` armed
-    through :func:`~repro.parallel.spmd.run_spmd`).  Each rank reports what
-    it delivered (:class:`~repro.parallel.partition.ProducerReport`);
-    ``on_rank_failure="reweight"`` merges the partial states with the
-    allocation reweighted by delivered (not nominal) stream mass and still
-    returns a full-size sample whenever the surviving rows cover the
-    budget, while ``"raise"`` (the default) fails the whole draw loudly.
-
-    The MaxEnt histogram range comes from `value_range`, the source's
-    :meth:`~repro.data.sources.SnapshotSource.value_range_hint`, or (last
-    resort) the first chunk's span widened 3×; out-of-range values clip to
-    the edge bins.  The range is agreed before any rank streams, so all
-    producers bin on identical edges.
-
-    Returns a :class:`~repro.sampling.stages.SubsampleResult` whose
-    ``points`` carry per-point times and ``meta["mode"] == "stream"``.
-    """
-    from repro.sampling.stages import SubsampleResult
-
-    source = open_source(source)
-    check_call(source, config, mode="stream", nranks=nranks, backend=backend,
-               owned_shards=owned_shards, on_rank_failure=on_rank_failure,
-               fault_hook=fault_hook)
-    sub = config.subsample
-    sampler_cls = stream_sampler_cls(sub.method)
-    cluster_var = source.cluster_var
-    point_vars = list(dict.fromkeys(
-        [*source.input_vars, *source.output_vars, cluster_var]
-    ))
-    vcol = point_vars.index(cluster_var)
-    budget = sub.num_hypercubes * sub.num_samples
-    kwargs = {}
-    if sub.method == "maxent":
-        kwargs = {"n_clusters": sub.num_clusters, "bins": hist_bins}
-    d = source.ndim
-    vr = _resolve_stream_value_range(
-        source, sampler_cls, cluster_var, point_vars, vcol, value_range, chunk_rows
-    )
-
-    reports = None
-    cache_meta = None
-    if nranks == 1:
-        perf = model or PerfModel()
-        sampler = get_stream_sampler(
-            sub.method, n_samples=budget, value_range=vr, rng=seed, **kwargs
-        )
-        with EnergyMeter() as meter:
-            # Charge the scan to virtual time with the same work-unit model
-            # the batch pipeline's communicator clock uses, so stream-mode
-            # energy/makespan numbers are comparable to batch-mode ones.
-            _feed_stream(
-                sampler, source, point_vars, vcol, chunk_rows, meter,
-                on_chunk=lambda n: meter.add_elapsed(
-                    perf.compute_time(sampler.cost_per_point * n)
-                ),
-            )
-        virtual_time = meter.elapsed
-        energy = meter
-    else:
-        parts = stream_partitions(source.n_snapshots, nranks)
-        # The layout is a run-scoped scratch artifact (unique temp dir, so
-        # concurrent runs and read-only base directories are safe); it is
-        # removed again in the finally below, whatever the run does.
-        layout = (
-            OwnedShardLayout.build(source.layout_path, nranks)
-            if owned_shards else None
-        )
-
-        def _rank_source(rank: int) -> tuple[SnapshotSource, ShardDirSource | None]:
-            """Build this rank's source view; also returns the private sharded
-            base the rank must close when it owns one."""
-            if layout is not None:
-                # reopen() keeps the source's own codec/tier configuration
-                # over the rank's owned shard directory.
-                src = source.reopen(layout.rank_dir(rank))
-                return src, src
-            if backend == "process" and isinstance(source, ShardDirSource):
-                # Forked workers must not share the parent's LRU/prefetch
-                # machinery (inherited locks and dead threads): reopen the
-                # shard directory privately inside the worker.
-                base = source.reopen()
-                return PartitionedSource(base, parts[rank].lo, parts[rank].hi), base
-            return PartitionedSource(source, parts[rank].lo, parts[rank].hi), None
-
-        rngs = spawn_rngs(seed, nranks + 1)  # rngs[0] drives the merge draw
-
-        rows_per_snapshot = source.n_points_per_snapshot
-
-        def _producer(comm):
-            part = parts[comm.rank]
-            src_r, private_base = _rank_source(comm.rank)
-            sampler = get_stream_sampler(
-                sub.method, n_samples=budget, value_range=vr,
-                rng=rngs[comm.rank + 1], **kwargs,
-            )
-            failed, err = False, None
-
-            def _delivered_snapshots() -> int:
-                # Grids are homogeneous, so delivered rows determine exactly
-                # how many span snapshots are fully streamed — correct even
-                # when a death lands on a snapshot's final chunk.
-                return min(part.n, int(sampler.n_seen) // rows_per_snapshot)
-
-            def _fault_check(snapshot_index: int) -> None:
-                comm.maybe_fail(
-                    snapshots_done=_delivered_snapshots(),
-                    rows_fed=int(sampler.n_seen),
-                )
-
-            with EnergyMeter() as meter:
-                try:
-                    _feed_stream(
-                        sampler, src_r, point_vars, vcol, chunk_rows, meter,
-                        on_chunk=lambda n: comm.account_compute(
-                            sampler.cost_per_point * float(n)
-                        ),
-                        fault_check=_fault_check,
-                    )
-                except RankFailure as exc:
-                    failed, err = True, str(exc)
-                except Exception as exc:
-                    # A genuine producer death (corrupt shard, I/O error,
-                    # ...): under "reweight" the partial reservoir is the
-                    # recovered state; under "raise" keep fail-fast.
-                    if on_rank_failure == "raise":
-                        raise
-                    failed, err = True, f"{type(exc).__name__}: {exc}"
-                finally:
-                    info = private_base.cache_info() if private_base is not None else None
-                    if private_base is not None:
-                        private_base.close()
-                report = ProducerReport(
-                    partition=part, snapshots_done=_delivered_snapshots(),
-                    n_seen=int(sampler.n_seen), stream_mass=float(sampler.n_seen),
-                    failed=failed, error=err, cache_info=info,
-                )
-                # The merge is a real communication step: per-rank sampler
-                # states travel to rank 0, so the gather (and the weighted
-                # redraw) land on the virtual clock like any collective.
-                gathered = comm.gather((sampler, report), root=0)
-                merged, all_reports = None, None
-                if comm.rank == 0:
-                    samplers = [g[0] for g in gathered]
-                    all_reports = [g[1] for g in gathered]
-                    any_failed = any(r.failed for r in all_reports)
-                    delivered = sum(1 for s in samplers if s.n_seen > 0)
-                    if delivered and (not any_failed or on_rank_failure == "reweight"):
-                        # Delivered (not nominal) mass weights the draw:
-                        # each state's own stream_mass is what it got fed.
-                        merged = sampler_cls.merge_partial(
-                            samplers, all_reports,
-                            on_failure="reweight", rng=rngs[0],
-                        )
-                        comm.account_compute(float(delivered * budget))
-                meter.add_elapsed(comm.clock.t)
-            return merged, meter, all_reports
-
-        try:
-            spmd = run_spmd(
-                _producer, nranks, model=model, fault_hook=fault_hook, backend=backend
-            )
-        finally:
-            if layout is not None:
-                layout.remove()
-        sampler, _, reports = spmd[0]
-        energy = EnergyMeter()
-        for _, rank_meter, _ in spmd.values:
-            energy.merge(rank_meter)
-        virtual_time = spmd.virtual_time
-        energy.elapsed = virtual_time
-        failed_reports = [r for r in reports if r.failed]
-        if failed_reports and on_rank_failure == "raise":
-            raise failed_producers_error(failed_reports)
-        if owned_shards:
-            infos = [r.cache_info for r in reports]
-            cache_meta = {
-                "per_rank": infos,
-                "total": aggregate_cache_info(infos),
-            }
-
-    if sampler is None or sampler.n_seen == 0:
-        dead = [r for r in (reports or []) if r.failed]
-        if dead:
-            # Every producer died before delivering anything: reweighting
-            # has nothing to work with, so surface the recorded errors
-            # instead of the generic empty-source message.
-            detail = "; ".join(
-                f"rank {r.rank}: {r.error or 'died mid-span'}" for r in dead
-            )
-            raise RuntimeError(
-                f"no stream producer delivered any data ({detail})"
-            )
-        raise ValueError("source produced no data to stream")
-    rows = sampler.finalize()
-    points = PointSet(
-        coords=rows[:, 2 : 2 + d],
-        values={v: rows[:, 2 + d + j] for j, v in enumerate(point_vars)},
-        time=rows[:, 1],
-        meta={
-            "method": sub.method,
-            "mode": "stream",
-            "n_seen": int(sampler.n_seen),
-            "ranks": nranks,
-            "source": type(source).__name__,
-        },
-    )
-    meta = {
-        "method": sub.method,
-        "hypercubes": sub.hypercubes,
-        "num_samples": sub.num_samples,
-        "mode": "stream",
-        "ranks": nranks,
-        "backend": backend,
-        "seed": seed,
-        "owned_shards": bool(owned_shards),
-        "on_rank_failure": on_rank_failure,
-        "case": config.to_dict(),
-    }
-    if reports is not None:
-        meta["producers"] = [r.to_meta() for r in reports]
-        meta["failed_ranks"] = [r.rank for r in reports if r.failed]
-    if cache_meta is not None:
-        meta["cache"] = cache_meta
-    return SubsampleResult(
-        points=points,
-        cubes=None,
-        selected_cube_ids=np.empty(0, dtype=np.int64),
-        n_candidate_cubes=0,
-        n_points_scanned=int(sampler.n_seen),
-        energy=energy,
-        virtual_time=virtual_time,
-        meta=meta,
-    )

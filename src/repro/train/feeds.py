@@ -16,10 +16,11 @@ are interchangeable:
   (sharded sources re-read from disk, in-situ simulations replay — the
   standard in-situ trade of compute for memory).
 * :class:`ShardedFeed` — the DDP flavour of :class:`StreamFeed`: each rank
-  streams only its own contiguous snapshot span (a
-  :class:`~repro.data.sources.PartitionedSource` view, or a private
-  per-rank source over an :class:`~repro.data.store.OwnedShardLayout`),
-  with globally agreed test membership and step counts so gradient
+  streams only its own contiguous snapshot span — the source view the SPMD
+  driver (:mod:`repro.driver`) hands the rank, a
+  :class:`~repro.data.sources.PartitionedSource` span or a private source
+  over its :class:`~repro.data.store.OwnedShardLayout` directory — with
+  globally agreed test membership and step counts so gradient
   synchronization stays in lock-step across ranks.
 
 Feeds expose ``state()`` / ``load_state()`` — the *feed cursor* — so a
@@ -429,9 +430,9 @@ class ShardedFeed(StreamFeed):
     ) -> ShardedFeed:
         """Build this rank's feed; all ranks derive identical global facts.
 
-        ``rank_source`` is the rank's own view/source over its span
-        (``PartitionedSource`` or an owned-shard rank source); its length
-        must match the rank's partition of ``n_snapshots_total``.
+        ``rank_source`` is the rank's own view of its span (the driver's
+        ``PartitionedSource`` or owned-shard source); its length must match
+        the rank's partition of ``n_snapshots_total``.
         """
         window = assembler.window
         per_window = assembler.n_per_window

@@ -125,8 +125,9 @@ class TestOwnedShardLayout:
     def test_rank_source_is_private(self, shard_dir):
         layout = OwnedShardLayout.build(shard_dir, 2)
         try:
-            a = layout.rank_source(0, max_cached=1)
-            b = layout.rank_source(1, max_cached=1)
+            with ShardDirSource(shard_dir, max_cached=1) as base:
+                a = base.reopen(layout.rank_dir(0))
+                b = base.reopen(layout.rank_dir(1))
             a.snapshot(0)
             assert a.cache_info()["counters"]["misses"] == 1
             assert b.cache_info()["counters"]["misses"] == 0  # no shared cache

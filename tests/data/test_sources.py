@@ -16,6 +16,7 @@ from repro.data import (
     save_dataset,
 )
 from repro.data.sources import SnapshotSource
+from repro.parallel.partition import stream_partitions
 from repro.sampling import subsample
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 
@@ -266,16 +267,21 @@ class TestPartitionedSource:
         with pytest.raises(IndexError):
             part.snapshot(3)
 
+    @staticmethod
+    def _split(base, nranks):
+        return [PartitionedSource(base, part.lo, part.hi)
+                for part in stream_partitions(base.n_snapshots, nranks)]
+
     def test_split_covers_source(self, sst):
         base = InMemorySource(sst)
-        parts = PartitionedSource.split(base, 4)
+        parts = self._split(base, 4)
         assert sum(p.n_snapshots for p in parts) == sst.n_snapshots
         seen = [p.snapshot(i).time for p in parts for i in range(p.n_snapshots)]
         assert seen == list(sst.times)
 
     def test_empty_span(self, sst):
         base = InMemorySource(sst)
-        parts = PartitionedSource.split(base, sst.n_snapshots + 2)
+        parts = self._split(base, sst.n_snapshots + 2)
         tail = parts[-1]
         assert tail.n_snapshots == 0
         assert tail.nbytes() == 0

@@ -22,9 +22,9 @@ from repro.parallel import run_spmd
 from repro.parallel.comm import SerialComm
 from repro.sampling import stages
 from repro.sampling.entropy import cluster_value_distributions, cube_moments
-from repro.sampling.pipeline import SubsamplePipeline
+from repro.sampling.pipeline import SubsamplePipeline, run_stream_subsample
 from repro.sampling.stages import CubeIndexStage, Phase1SummarizeStage, PipelineContext
-from repro.sampling.streaming import StreamingMaxEnt, run_stream_subsample
+from repro.sampling.streaming import StreamingMaxEnt
 from repro.sampling.temporal import snapshot_histograms
 from repro.sim.fields import FlowField
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig

@@ -5,11 +5,11 @@ import os
 import numpy as np
 import pytest
 
+from repro.sampling.pipeline import run_stream_subsample
 from repro.sampling.streaming import (
     ReservoirSampler,
     ReservoirStream,
     StreamingMaxEnt,
-    run_stream_subsample,
 )
 
 
@@ -676,7 +676,7 @@ class TestStreamSubsample:
         from repro.data import stream_dataset
 
         src = stream_dataset("sst-binary", scale=1.0, seed=0, n_snapshots=2)
-        with pytest.raises(KeyError, match="no streaming analogue"):
+        with pytest.raises(ValueError, match="no streaming analogue"):
             run_stream_subsample(src, self._case("lhs"), seed=0)
         assert src.generated == 0
 

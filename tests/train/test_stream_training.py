@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 
 from repro.api import Experiment, build_model_for_case
-from repro.data import ShardDirSource, build_dataset, open_source, save_dataset
+from repro.data import (
+    ShardDirSource,
+    build_dataset,
+    open_source,
+    save_dataset,
+    stream_dataset,
+)
 from repro.nn.tensor import Tensor, no_grad
+from repro.runspec import SpecError
 from repro.sampling import subsample
 from repro.train import (
     ArrayFeed,
@@ -164,6 +171,20 @@ class TestExperimentStreamTraining:
         # per-rank owned sources are reopened as the codec-agnostic class
         assert result.meta["feed"]["source"] == "ShardDirSource"
         assert np.isfinite(result.final_test_loss)
+
+    def test_stream_ddp_rejects_a_replaying_simulation(self):
+        """Stream-fit ranks share the source as subsample ranks do, so the
+        subsample's replay rule holds: a SimulationSource smaller than its
+        stream is refused before any rank launches."""
+        src = stream_dataset("sst-binary", scale=0.5, seed=0, n_snapshots=6,
+                             max_cached=2)
+        exp = (Experiment.from_case(sst_case(epochs=2)).with_source(src)
+               .with_seed(0).subsample(mode="stream"))
+        generated, restarts = src.generated, src.restarts
+        with pytest.raises(SpecError, match="replay the simulation"):
+            exp.with_train_ranks(2).train(mode="stream")
+        assert (src.generated, src.restarts) == (generated, restarts)
+        assert "train" not in exp.artifacts
 
     def test_stream_serial_vs_ddp_both_finite_and_deterministic(self):
         def run(ranks):
