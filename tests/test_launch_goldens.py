@@ -5,8 +5,10 @@ A digest hashes what the run must reproduce byte for byte: the points (or
 the losses), the virtual time and the total energy as hex floats, and the
 result meta without the case snapshot (its key order included, since saved
 artifacts store it).  The table was recorded before the SPMD launch code was
-unified, so a cell that changes means the determinism contract broke; it is
-not a table to refresh.  Extend ``CELLS`` rather than adding another suite.
+unified, and the ``fit-array-*`` cells before the training step moved onto
+flat parameter buffers, so a cell that changes means the determinism
+contract broke; it is not a table to refresh.  Extend ``CELLS`` rather than
+adding another suite.
 """
 
 import contextlib
@@ -16,22 +18,50 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import Experiment
+from repro.api import Experiment, build_model_for_case
 from repro.data import build_dataset, open_source, save_dataset
+from repro.data.hypercubes import extract_hypercube, hypercube_origins
+from repro.nn import LSTMRegressor
+from repro.parallel import run_spmd
 from repro.sampling.pipeline import subsample
+from repro.train import ArrayFeed, TrainLoop, build_drag_data, build_reconstruction_data
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 
 
-def case(method="maxent", window=1):
+def case(method="maxent", window=1, arch="mlp_transformer"):
     return CaseConfig(
         shared=SharedConfig(dims=3),
         subsample=SubsampleConfig(
             hypercubes="maxent", method=method, num_hypercubes=4,
             num_samples=32, num_clusters=4, nxsl=8, nysl=8, nzsl=8,
         ),
-        train=TrainConfig(epochs=2, batch=4, window=window, horizon=1,
-                          arch="mlp_transformer"),
+        train=TrainConfig(epochs=2, batch=4, window=window, horizon=1, arch=arch),
     )
+
+
+def drag_arrays():
+    """LSTM drag-surrogate arrays from a small OF2D subsample (bench_fig6 style)."""
+    ds = build_dataset("OF2D", scale=0.3, rng=0, n_snapshots=16)
+    cfg = CaseConfig(
+        shared=SharedConfig(dims=2),
+        subsample=SubsampleConfig(hypercubes="random", method="maxent", num_hypercubes=4,
+                                  num_samples=16, num_clusters=4, nxsl=12, nysl=12, nzsl=1),
+        train=TrainConfig(arch="lstm", window=3),
+    )
+    return build_drag_data(ds, subsample(ds, cfg, seed=3), window=3, max_features=48)
+
+
+def dense_cubes(ds, edge=8, n=12):
+    """Dense ``edge``^3 training cubes, one per (snapshot, origin) pair, the
+    way bench_fig9 builds its MATEY data."""
+    origins = hypercube_origins(ds.grid_shape, (edge,) * 3)
+    holder = type("R", (), {"points": None, "cubes": []})()
+    for i in range(n):
+        s, origin = i % ds.n_snapshots, origins[(5 * i) % len(origins)]
+        cube = extract_hypercube(ds.snapshots[s], origin, (edge,) * 3, ["u", "v", "w", "p"])
+        cube.meta["snapshot"] = s
+        holder.cubes.append(cube)
+    return build_reconstruction_data(ds, holder, window=1, horizon=1)
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +73,9 @@ def data(tmp_path_factory):
         path = str(tmp_path_factory.mktemp(f"shards_{name}"))
         save_dataset(out[name], path)
         out[f"{name}_dir"] = path
+    out["drag"] = drag_arrays()
+    out["cubes"] = dense_cubes(out["fit"])
+    out["points"] = build_reconstruction_data(out["fit"], subsample(out["fit"], case(), seed=3))
     return out
 
 
@@ -103,6 +136,30 @@ def run_fit(data, src, *, ranks, mode, backend="thread"):
         return fit_digest(exp.train_artifact.result)
 
 
+#: Small enough that the gradient norm exceeds it on every step, so each
+#: array fit below runs the clipping branch.
+CLIP = 1e-3
+
+
+def run_array_fit(data, src, *, arch, ranks=1, precision="fp32"):
+    """A ``TrainLoop`` + ``ArrayFeed`` fit over resident arrays, on the
+    thread backend when ``ranks > 1``."""
+    arrays = data[src]
+
+    def fit(comm):
+        if arch == "lstm":
+            x, y = arrays
+            model = LSTMRegressor(input_dim=x.shape[2], hidden=16, rng=3)
+        else:
+            x, y = arrays.x, arrays.y
+            model = build_model_for_case(case(arch=arch), arrays, rng=3)
+        loop = TrainLoop(model, lr=5e-3, patience=10, precision=precision,
+                         grad_clip=CLIP, comm=comm, seed=3)
+        return loop.fit(ArrayFeed(x, y, batch=4, seed=3, comm=loop.comm), epochs=3)
+
+    return fit_digest(run_spmd(fit, ranks)[0])
+
+
 def remote(path):
     return f"remote://{path}?latency_s=0.002&max_staged=2"
 
@@ -134,6 +191,13 @@ CELLS = {
     "fit-batch-mem-r2": (run_fit, "fit", dict(ranks=2, mode="batch")),
     "fit-batch-mem-r2-process": (run_fit, "fit", dict(ranks=2, mode="batch",
                                                        backend="process")),
+    # TrainLoop + ArrayFeed fits with clipping on every step
+    "fit-array-lstm-drag": (run_array_fit, "drag", dict(arch="lstm")),
+    "fit-array-cnnt-cubes": (run_array_fit, "cubes", dict(arch="cnn_transformer")),
+    "fit-array-matey-cubes": (run_array_fit, "cubes", dict(arch="matey")),
+    "fit-array-matey-cubes-r2": (run_array_fit, "cubes", dict(arch="matey", ranks=2)),
+    "fit-array-mlpt-bf16": (run_array_fit, "points", dict(arch="mlp_transformer",
+                                                           precision="bf16")),
 }
 
 GOLDEN = {
@@ -143,6 +207,11 @@ GOLDEN = {
     "batch-mem-r1-thread": "e2e7d76dd82d9f08ac6070c7fa206430bc0d59425311fdfa3d7bf652bc940ca3",
     "batch-mem-r2-process": "102c5e691af46e9481cfcc693ea45f1effeb79b3f9bb73726f4472a597f8f6ad",
     "batch-mem-r2-thread": "102c5e691af46e9481cfcc693ea45f1effeb79b3f9bb73726f4472a597f8f6ad",
+    "fit-array-cnnt-cubes": "7ab71ec0b3c97d7ce8fa4ad989ef389a46119f386ac252399ea14320dc8b0d7b",
+    "fit-array-lstm-drag": "45ecdd4eacf2409d3bf1690aa32082533d4419486e501d2b630581d249aa4d35",
+    "fit-array-matey-cubes": "89ddb5e26ff7c597b953f7d23b63ef607a0897ebc13dc2cb68ad6dd178287f5f",
+    "fit-array-matey-cubes-r2": "1c79a9225bc9e87a855e45003eeaa061127ad24d3fd3957fae2b537fc69e07e6",
+    "fit-array-mlpt-bf16": "3ff11c46bdb70b2f7004058b35a3047052483c4b6d382f8932e2d5ac72b4fd19",
     "fit-batch-mem-r2": "5eebf53dfa5d34a3d4ef547e886dd470b11b507b82b8696e7bc2abf036b4223a",
     "fit-batch-mem-r2-process": "5eebf53dfa5d34a3d4ef547e886dd470b11b507b82b8696e7bc2abf036b4223a",
     "fit-stream-dir-r2": "1128b5b2f7451aae772d620402e276b998f9e20c6456e20d5b17240dfeea345a",
