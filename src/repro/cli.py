@@ -33,7 +33,7 @@ import sys
 
 from repro.api import build_model_for_case
 from repro.data import SubsampleStore
-from repro.runspec import add_spec_flags, build_run, parse_spec
+from repro.runspec import SpecError, add_spec_flags, build_run, parse_spec
 
 __all__ = ["main", "subsample_main", "train_main", "build_model_for_case"]
 
@@ -46,7 +46,10 @@ def subsample_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     spec, case = parse_spec(parser, "subsample", args)
 
-    exp, source, fault_hook = build_run(spec, case)
+    try:
+        exp, source, fault_hook = build_run(spec, case, "subsample")
+    except SpecError as exc:
+        parser.error(str(exc))
     try:
         exp.subsample(
             mode=spec.mode,
@@ -101,7 +104,10 @@ def train_main(argv: list[str] | None = None) -> int:
     if spec.checkpoint_every != 1 and not args.checkpoint:
         parser.error("--checkpoint-every needs --checkpoint PATH")
 
-    exp, source, _ = build_run(spec, case)
+    try:
+        exp, source, _ = build_run(spec, case, "train")
+    except SpecError as exc:
+        parser.error(str(exc))
     try:
         if spec.kind == "tune":
             exp.tune(n_trials=spec.tune_trials, strategy=spec.tune_strategy)

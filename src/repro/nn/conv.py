@@ -5,10 +5,11 @@ MLP-Transformer (ConvTranspose3D decoder) architectures (Table 2).
 
 Forward convolution is an im2col-free einsum over a sliding-window *view*
 (no copy); the input gradient is assembled by looping over kernel offsets —
-27 strided adds for a 3³ kernel — which is exact and keeps memory flat.
-ConvTranspose3d is implemented as the adjoint scatter of the same stencil,
-so ``ConvTranspose3d`` with matching geometry exactly inverts Conv3d's shape
-arithmetic.
+64 strided adds for the models' 4³ kernels — which is exact and keeps memory
+flat.  ConvTranspose3d is implemented as the adjoint scatter of the same
+stencil, so ``ConvTranspose3d`` with matching geometry exactly inverts
+Conv3d's shape arithmetic; its forward scatter is one ``np.bincount`` over a
+per-geometry index, with no loop.
 """
 
 from __future__ import annotations
@@ -145,12 +146,28 @@ class ConvTranspose3d(Module):
             raise ValueError("kernel/stride must be >= 1 and padding >= 0")
         self.weight = Parameter(he_uniform((in_channels, out_channels, *self.kernel_size), rng))
         self.bias = Parameter(np.zeros(out_channels)) if bias else None
+        self._scatter: dict[tuple[int, ...], np.ndarray] = {}
 
     def out_shape(self, spatial: tuple[int, int, int]) -> tuple[int, int, int]:
         return tuple(
             (n - 1) * s - 2 * p + k
             for n, s, p, k in zip(spatial, self.stride, self.padding, self.kernel_size)
         )
+
+    def _scatter_index(self, b: int, spatial: tuple[int, int, int]) -> np.ndarray:
+        """Padded-canvas flat index of each contribution, kernel-offset-major:
+        one strided slice of the canvas per offset, cached per geometry."""
+        key = (b, *spatial)
+        if key not in self._scatter:
+            (sd, sh, sw), (di, hi, wi) = self.stride, spatial
+            full = [n + 2 * p for n, p in zip(self.out_shape(spatial), self.padding)]
+            canvas = np.arange(b * self.out_channels * int(np.prod(full)))
+            canvas = canvas.reshape(b, self.out_channels, *full)
+            self._scatter[key] = np.stack([
+                canvas[:, :, a : a + sd * di : sd, c : c + sh * hi : sh, e : e + sw * wi : sw]
+                for a, c, e in np.ndindex(*self.kernel_size)
+            ]).ravel()
+        return self._scatter[key]
 
     def forward(self, x: Tensor) -> Tensor:
         x = Tensor.as_tensor(x)
@@ -165,19 +182,16 @@ class ConvTranspose3d(Module):
             raise ValueError("output would be empty; check geometry")
         w = self.weight
 
-        # Scatter into the padded output canvas, then crop the padding.
+        # Scatter into the padded output canvas, then crop the padding.  The
+        # weights run kernel-offset-major, so bincount adds each voxel's terms
+        # in offset order, starting from zero.
         full = (od + 2 * pd, oh + 2 * ph, ow + 2 * pw)
-        out_pad = np.zeros((b, self.out_channels, *full))
         contrib = np.einsum("bcdhw,coijk->bodhwijk", x.data, w.data, optimize=True)
-        for a in range(kd):
-            for b_ in range(kh):
-                for c in range(kw):
-                    out_pad[
-                        :, :,
-                        a : a + sd * di : sd,
-                        b_ : b_ + sh * hi : sh,
-                        c : c + sw * wi : sw,
-                    ] += contrib[..., a, b_, c]
+        out_pad = np.bincount(
+            self._scatter_index(b, (di, hi, wi)),
+            weights=contrib.transpose(5, 6, 7, 0, 1, 2, 3, 4).ravel(),
+            minlength=b * self.out_channels * full[0] * full[1] * full[2],
+        ).reshape(b, self.out_channels, *full)
         sl = (
             slice(None), slice(None),
             slice(pd, full[0] - pd),

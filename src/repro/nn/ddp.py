@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.module import Module
+from repro.nn.module import Module, ParamPack
 from repro.parallel.comm import Communicator
 
 __all__ = ["DistributedDataParallel", "shard_indices"]
@@ -38,13 +38,14 @@ class DistributedDataParallel(Module):
         super().__init__()
         self.module = module
         self.comm = comm
-        self._flat_dtype: np.dtype | None = None  # gradient bucket dtype
-        self._spans: list[tuple[int, int]] = []
         # Replicas start from rank 0's weights, like torch DDP.
         state = module.state_dict() if comm.rank == 0 else None
         state = comm.bcast(state, root=0)
         if comm.rank != 0:
             module.load_state_dict(state)
+        # The gradient bucket: an optimizer over the same parameters
+        # shares this pack.
+        self.pack = ParamPack.of(module.parameters())
 
     def forward(self, *args, **kwargs):
         return self.module(*args, **kwargs)
@@ -64,33 +65,24 @@ class DistributedDataParallel(Module):
             self.module.load_state_dict(state)
 
     def sync_gradients(self) -> None:
-        """Average gradients across ranks (call between backward and step)."""
+        """Average gradients across ranks (call between backward and step).
+
+        One allreduce of the pack's gradient buffer per dtype (every model
+        here has one), like bucketed DDP.  A parameter without a gradient
+        contributes zeros and gets the mean like the rest.
+        """
         if self.comm.size == 1:
             return
-        params = self.module.parameters()
-        # Flatten to one buffer: a single allreduce, like bucketed DDP.
-        # Spans and dtype are computed once (parameter shapes are fixed after
-        # construction); the send buffer itself must be fresh per call — the
-        # thread backend's collectives fold contributions by reference, so a
-        # reused buffer could be overwritten by this rank's next step while
-        # a slower peer is still reducing the previous one.
-        if self._flat_dtype is None:
-            offset = 0
-            for p in params:
-                self._spans.append((offset, offset + p.size))
-                offset += p.size
-            # Same dtype np.concatenate over the per-param gradients would
-            # promote to, so the reduction is bitwise unchanged.
-            self._flat_dtype = np.result_type(*(p.data.dtype for p in params))
-        flat = np.empty(self._spans[-1][1], dtype=self._flat_dtype)
-        for p, (lo, hi) in zip(params, self._spans):
-            if p.grad is None:
-                flat[lo:hi] = 0.0
-            else:
-                flat[lo:hi] = p.grad.ravel()
-        out = self.comm.allreduce(flat, op="sum") / self.comm.size
-        for p, (lo, hi) in zip(params, self._spans):
-            p.grad = out[lo:hi].reshape(p.shape).astype(p.data.dtype)
+        for p in self.pack.params:
+            if p.grad is not p.slot:
+                np.copyto(p.slot, 0.0 if p.grad is None else p.grad)
+            p.grad, p.grad_order = p.slot, None
+        for buf in self.pack.grad.values():
+            # Send a copy: the thread backend folds its peers' arrays by
+            # reference, so a slower peer may still be reading this rank's
+            # contribution when this rank writes the mean into the buffer.
+            total = self.comm.allreduce(buf.copy(), op="sum")
+            np.divide(total, self.comm.size, out=buf)
 
     def parameters(self):
         return self.module.parameters()

@@ -2,13 +2,19 @@
 
 The paper trains with Adam at lr=1e-3 and a reduce-on-plateau schedule with
 patience 20; both are implemented here with PyTorch-compatible semantics.
+
+Each optimizer packs its parameters into a :class:`~repro.nn.module.
+ParamPack` and steps every run of consecutive parameters that hold a
+gradient with one set of whole-span ufuncs: elementwise, so bitwise what a
+loop over the parameters computes.  Its state (Adam's moments, SGD's
+velocity) is one flat buffer per dtype, with a per-parameter view of each.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.module import Parameter
+from repro.nn.module import ParamPack, Parameter
 
 __all__ = ["SGD", "Adam", "clip_grad_norm", "ReduceLROnPlateau"]
 
@@ -20,6 +26,7 @@ class _Optimizer:
             raise ValueError("optimizer needs at least one parameter")
         if lr <= 0:
             raise ValueError("lr must be positive")
+        self.pack = ParamPack.of(params)
         self.params = params
         self.lr = lr
 
@@ -39,18 +46,18 @@ class SGD(_Optimizer):
         if not (0.0 <= momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
         self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
+        self._vel_flat, self._velocity = self.pack.zeros()
 
     def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
+        for dt, span in self.pack.runs():
+            p, g = self.pack.data[dt][span], self.pack.grad[dt][span]
             if self.momentum > 0:
+                v = self._vel_flat[dt][span]
                 v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
+                v += g
+                p -= self.lr * v
             else:
-                p.data -= self.lr * p.grad
+                p -= self.lr * g
 
 
 class Adam(_Optimizer):
@@ -70,8 +77,8 @@ class Adam(_Optimizer):
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m_flat, self._m = self.pack.zeros()
+        self._v_flat, self._v = self.pack.zeros()
         self._t = 0
 
     def step(self) -> None:
@@ -79,32 +86,40 @@ class Adam(_Optimizer):
         b1, b2 = self.betas
         bc1 = 1.0 - b1**self._t
         bc2 = 1.0 - b2**self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
-            g = p.grad
+        for dt, span in self.pack.runs():
+            p, g = self.pack.data[dt][span], self.pack.grad[dt][span]
+            m, v = self._m_flat[dt][span], self._v_flat[dt][span]
             if self.weight_decay > 0:
-                g = g + self.weight_decay * p.data
+                g = g + self.weight_decay * p
             m *= b1
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most `max_norm`."""
+    """Scale all gradients so their global L2 norm is at most `max_norm`.
+
+    The squared norm adds one partial sum per parameter, in parameter
+    order, each over the gradient in the memory order it arrived in; a
+    single sum over the buffer would group the pairwise sum differently.
+    The scaling is one multiply per run of the packed gradient buffer.
+    """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
+    pack = ParamPack.of(params)
+    runs = pack.runs()
     total = 0.0
-    grads = [p.grad for p in params if p.grad is not None]
-    for g in grads:
-        total += float((g**2).sum())
+    for p in pack.params:
+        if p.grad is not None:
+            g = p.grad if p.grad_order is None else p.grad.transpose(p.grad_order)
+            total += float(np.square(g, order="C").sum())
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
-        for g in grads:
-            g *= scale
+        for dt, span in runs:
+            pack.grad[dt][span] *= scale
     return norm
 
 

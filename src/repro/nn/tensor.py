@@ -69,7 +69,8 @@ class Tensor:
         _backward: Callable[[np.ndarray], None] | None = None,
         name: str = "",
     ) -> None:
-        self.data = np.asarray(data, dtype=np.float64 if np.asarray(data).dtype != np.float32 else np.float32)
+        data = np.asarray(data)
+        self.data = data.astype(np.float32 if data.dtype == np.float32 else np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self._parents = _parents if self.requires_grad or _parents else ()
@@ -366,7 +367,14 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, key, g)
+                # A basic slice selects each element at most once; a fancy
+                # index may repeat one, which needs np.add.at's unbuffered sum.
+                if all(k is None or k is Ellipsis or isinstance(k, slice)
+                       or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+                       for k in (key if isinstance(key, tuple) else (key,))):
+                    full[key] += g
+                else:
+                    np.add.at(full, key, g)
                 self._accumulate(full)
 
         return Tensor._make(data, (self,), backward)

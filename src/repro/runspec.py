@@ -394,12 +394,13 @@ _SAY = {
                   "--stream", _CLI_SHARDS),
     "submit": _Say(_FLAGS, {"subsample": "subsample jobs", "train": "--train jobs",
                             "tune": "--tune"}, "--stream", _CLI_SHARDS),
-    "library": _Say({"ranks": "nranks", "inject_rank_failure": "fault_hook"}, {},
+    "library": _Say({"ranks": "nranks", "inject_rank_failure": "fault_hook",
+                     "max_cached_shards": "max_cached"}, {},
                     "mode='stream'", _LIVE_SHARDS),
     # Experiment stage calls; train() and tune() spell ranks with_train_ranks
     "facade": _Say({"stream_shuffle": "with_stream_shuffle", "backend": "with_backend",
                     "tune_trials": "n_trials", "tune_strategy": "strategy",
-                    "inject_rank_failure": "fault_hook"},
+                    "inject_rank_failure": "fault_hook", "max_cached_shards": "max_cached"},
                    {k: f"{k}()" for k in KINDS}, "mode='stream'", _LIVE_SHARDS),
 }
 
@@ -458,13 +459,17 @@ def parse_spec(parser, command: str, args) -> tuple[RunSpec, CaseConfig]:
 # ---- running ----------------------------------------------------------------
 
 
-def build_run(spec: RunSpec, case: CaseConfig) -> tuple[
+def build_run(spec: RunSpec, case: CaseConfig, surface: str) -> tuple[
         Experiment, SnapshotSource | None, Callable[..., bool] | None]:
     """A validated spec → (Experiment, the source it opened, fault hook).
 
     The experiment comes from :meth:`~repro.api.Experiment.from_spec`.  The
-    caller runs the stage and closes the source.  The fault hook (for
-    ``inject_rank_failure``) kills the victim producer after its first chunk.
+    opened source is checked by :func:`check_stage` at once, so a rule that
+    needs the live source is a :class:`SpecError` spelled for ``surface``
+    (a command name or ``"json"``); the source is closed if it is rejected.
+    Otherwise the caller runs the stage and closes the source.  The fault
+    hook (for ``inject_rank_failure``) kills the victim producer after its
+    first chunk.
     """
     from repro.api import Experiment
 
@@ -480,6 +485,12 @@ def build_run(spec: RunSpec, case: CaseConfig) -> tuple[
 
         source = open_source(spec.source, max_cached=spec.cached_shards,
                              prefetch=spec.prefetch)
+    try:
+        check_stage(spec, source, case.subsample.method, surface)
+    except SpecError:
+        if source is not None and hasattr(source, "close"):
+            source.close()
+        raise
     if source is not None:
         exp.with_source(source)
     fault_hook = None
@@ -511,7 +522,8 @@ def check_call(source, config: CaseConfig, *, mode: str, nranks: int, backend: s
 
 def check_stage(spec: RunSpec, source: SnapshotSource | None, method: str,
                 surface: str) -> None:
-    """The spec rules for a ``"library"`` or ``"facade"`` stage call.
+    """The spec rules for a stage call (``"library"`` or ``"facade"``) or
+    for the source :func:`build_run` opened for a command or a JSON spec.
 
     A :class:`~repro.data.sources.ShardDirSource` is a shard source; ``None``
     is the catalog source a facade has not built yet.  One rule needs the
@@ -535,6 +547,6 @@ def check_stage(spec: RunSpec, source: SnapshotSource | None, method: str,
         raise SpecError(
             "a SimulationSource with max_cached < n_snapshots would replay the "
             f"simulation for nearly every cross-rank access under {ranks}="
-            f"{spec.ranks}; use {ranks}=1, raise max_cached to >= "
+            f"{spec.ranks}; use {ranks}=1, raise {say('max_cached_shards')} to >= "
             f"{source.n_snapshots}, or shard the stream to disk first"
         )

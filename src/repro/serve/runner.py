@@ -89,7 +89,7 @@ def execute_job(spec: RunSpec, workdir: str,
     stop_path = os.path.join(workdir, STOP_FILE)
     progress_path = os.path.join(workdir, PROGRESS_FILE)
 
-    exp, source, fault_hook = build_run(spec, case)
+    exp, source, fault_hook = build_run(spec, case, "json")
     try:
         if spec.kind == "subsample":
             return _run_subsample(spec, exp, fault_hook, progress_path)

@@ -195,6 +195,15 @@ class TestFlagValidation:
             subsample_main([sst_case, "--source", "sim", "--prefetch", "2"])
         assert "in-situ" in capsys.readouterr().err
 
+    def test_multirank_stream_rejects_a_replaying_sim_source(self, sst_case, capsys):
+        """The live-source replay rule exits 2 in the CLI's spelling."""
+        with pytest.raises(SystemExit) as exc:
+            subsample_main([sst_case, "--scale", "0.5", "--stream", "--ranks", "2",
+                            "--source", "sim"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--ranks=2" in err and "--max-cached-shards" in err
+
     def test_max_cached_warns_without_source(self, sst_case, capsys):
         code = subsample_main([sst_case, "--scale", "0.5",
                                "--max-cached-shards", "3"])
@@ -355,6 +364,14 @@ class TestTrainFlagValidation:
         with pytest.raises(SystemExit):
             train_main([sst_case, "--prefetch", "2"])
         assert "--prefetch" in capsys.readouterr().err
+
+    def test_multirank_stream_rejects_a_replaying_sim_source(self, sst_case, capsys):
+        with pytest.raises(SystemExit) as exc:
+            train_main([sst_case, "--scale", "0.5", "--stream", "--ranks", "2",
+                        "--source", "sim"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--ranks=2" in err and "--max-cached-shards" in err
 
     def test_max_cached_warns_without_source(self, sst_case, capsys):
         code = train_main([sst_case, "--scale", "0.5", "--epochs", "2",
