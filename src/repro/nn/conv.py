@@ -190,7 +190,6 @@ class ConvTranspose3d(Module):
         out_pad = np.bincount(
             self._scatter_index(b, (di, hi, wi)),
             weights=contrib.transpose(5, 6, 7, 0, 1, 2, 3, 4).ravel(),
-            minlength=b * self.out_channels * full[0] * full[1] * full[2],
         ).reshape(b, self.out_channels, *full)
         sl = (
             slice(None), slice(None),
