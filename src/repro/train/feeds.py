@@ -6,8 +6,8 @@ one protocol behind which batch, streaming, and distributed data delivery
 are interchangeable:
 
 * :class:`ArrayFeed` — today's resident ``x, y`` arrays: the paper's §5.2
-  protocol (shuffled 90:10 split, per-epoch permutation, DDP sharding),
-  byte-identical to the pre-feed epoch loop under the seed goldens.
+  protocol (shuffled 90:10 split, per-epoch permutation, DDP sharding in
+  lock-step), byte-identical to the pre-feed epoch loop under the seed goldens.
 * :class:`StreamFeed` — builds LSTM/reconstruction windows *incrementally*
   as snapshots arrive from a source: a rolling window of sensor readings
   (and dense target blocks) is all that is ever resident, so training runs
@@ -38,7 +38,7 @@ import numpy as np
 from repro.data.sources import SnapshotSource
 from repro.nn.ddp import shard_indices
 from repro.parallel.comm import Communicator, SerialComm
-from repro.parallel.partition import stream_partitions, window_counts
+from repro.parallel.partition import block_partition, stream_partitions, window_counts
 from repro.train.data import WindowAssembler, train_test_split
 
 __all__ = ["BatchFeed", "ArrayFeed", "ShuffleBuffer", "StreamFeed", "ShardedFeed"]
@@ -78,6 +78,31 @@ class ShuffleBuffer:
             yield buf.pop()
 
 
+def agreed_steps(counts: list[int], batch: int, starved_msg: str) -> int:
+    """The per-epoch step count of every DDP rank: the largest of the ranks'
+    batch counts, from each rank's training-sample count.  Every rank derives
+    it alike, so no collective agrees it.  A rank with no sample fails every
+    rank: ``rank(s) [...] have no <starved_msg>``."""
+    starved = [r for r, c in enumerate(counts) if c < 1]
+    if starved:
+        raise ValueError(f"rank(s) {starved} have no {starved_msg}")
+    return max(-(-c // batch) for c in counts)
+
+
+def lock_step(batches: Iterator[Batch], steps: int | None) -> Iterator[Batch]:
+    """Yield ``batches``, then replay the last one until ``steps`` have gone,
+    so a rank short of :func:`agreed_steps` still joins every gradient
+    all-reduce.  ``steps=None`` (serial) passes the batches through."""
+    emitted = 0
+    last: Batch | None = None
+    for last in batches:
+        emitted += 1
+        yield last
+    if steps is not None and last is not None:
+        for _ in range(steps - emitted):
+            yield last
+
+
 class BatchFeed(abc.ABC):
     """Delivers minibatches to the loop; owns split, shuffle, and cursor."""
 
@@ -112,7 +137,8 @@ class ArrayFeed(BatchFeed):
     Splits with :func:`~repro.train.data.train_test_split` at ``rng=seed``,
     shards the training split across DDP ranks, and draws one permutation
     per epoch from ``default_rng(seed + 1)`` — the exact RNG sequence of the
-    pre-feed trainer, pinned by the equivalence tests.
+    pre-feed trainer, pinned by the equivalence tests.  Under DDP every rank
+    takes the largest shard's batch count per epoch (:func:`agreed_steps`).
     """
 
     def __init__(
@@ -130,8 +156,14 @@ class ArrayFeed(BatchFeed):
         y = np.asarray(y, dtype=np.float64)
         x_tr, y_tr, x_te, y_te = train_test_split(x, y, test_frac, rng=seed)
         comm = comm or SerialComm()
+        self._steps: int | None = None
         if comm.size > 1:
             # DDP: each rank trains on its shard of the training split.
+            self._steps = agreed_steps(
+                [hi - lo for lo, hi in block_partition(len(x_tr), comm.size)], batch,
+                f"training rows ({len(x_tr)} rows / {comm.size} ranks); use fewer "
+                "train ranks or more data",
+            )
             mine = shard_indices(len(x_tr), comm, seed=seed)
             x_tr, y_tr = x_tr[mine], y_tr[mine]
         self.x_tr, self.y_tr = x_tr, y_tr
@@ -151,9 +183,8 @@ class ArrayFeed(BatchFeed):
 
     def train_batches(self, epoch: int) -> Iterator[Batch]:
         order = self._rng.permutation(self.x_tr.shape[0])
-        for lo in range(0, len(order), self.batch):
-            idx = order[lo : lo + self.batch]
-            yield self.x_tr[idx], self.y_tr[idx]
+        chunks = (order[lo : lo + self.batch] for lo in range(0, len(order), self.batch))
+        yield from lock_step(((self.x_tr[i], self.y_tr[i]) for i in chunks), self._steps)
         self._epochs_streamed += 1
 
     def eval_batches(self) -> Iterator[Batch]:
@@ -314,13 +345,17 @@ class StreamFeed(BatchFeed):
         ]
 
     def train_batches(self, epoch: int) -> Iterator[Batch]:
+        yield from lock_step(self._epoch_batches(), self._steps)
+        self._epochs_streamed += 1
+
+    def _epoch_batches(self) -> Iterator[Batch]:
+        """One pass of the local stream as train batches; the first pass also
+        caches the test samples it skips."""
         xs: list[np.ndarray] = []
         ys: list[np.ndarray] = []
         test_acc: list[tuple[np.ndarray, np.ndarray]] | None = (
             [] if self._test_cache is None else None
         )
-        emitted = 0
-        last_batch: Batch | None = None
 
         def train_samples() -> Iterator[tuple[np.ndarray, np.ndarray]]:
             for gid, x, y in self._stream_samples():
@@ -337,24 +372,13 @@ class StreamFeed(BatchFeed):
             xs.append(x)
             ys.append(y)
             if len(xs) == self.batch:
-                last_batch = (np.stack(xs), np.stack(ys))
+                yield np.stack(xs), np.stack(ys)
                 xs, ys = [], []
-                emitted += 1
-                yield last_batch
         if xs:
-            last_batch = (np.stack(xs), np.stack(ys))
-            emitted += 1
-            yield last_batch
+            yield np.stack(xs), np.stack(ys)
         if test_acc is not None:
             # derived cache (see _collect_test): deterministic rebuild, not state
             self._test_cache = self._to_batches(test_acc)  # repro-lint: ignore[RPL008]
-        # DDP lock-step: ranks short of the agreed step count replay their
-        # last batch so every rank joins every gradient all-reduce.
-        if self._steps is not None and last_batch is not None:
-            while emitted < self._steps:
-                emitted += 1
-                yield last_batch
-        self._epochs_streamed += 1
 
     def eval_batches(self) -> Iterator[Batch]:
         if self._test_cache is None:
@@ -463,14 +487,11 @@ class ShardedFeed(StreamFeed):
             )
             for r in range(comm.size)
         ]
-        if min(train_counts) < 1:
-            starved = [r for r, c in enumerate(train_counts) if c < 1]
-            raise ValueError(
-                f"rank(s) {starved} have no full training window "
-                f"({n_snapshots_total} snapshots / {comm.size} ranks, window "
-                f"{window}); use fewer train ranks or a smaller window"
-            )
-        steps = max(-(-c // batch) for c in train_counts)
+        steps = agreed_steps(
+            train_counts, batch,
+            f"full training window ({n_snapshots_total} snapshots / {comm.size} "
+            f"ranks, window {window}); use fewer train ranks or a smaller window",
+        )
         return cls(
             rank_source, assembler, batch=batch, test_frac=test_frac, seed=seed,
             sample_offset=int(offsets[comm.rank]), total_samples=total, steps=steps,

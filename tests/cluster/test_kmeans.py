@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import KMeans, MiniBatchKMeans, kmeans_plus_plus
+from repro.cluster import KMeans, MiniBatchKMeans, kmeans, kmeans_plus_plus
 
 
 def three_blobs(rng, n_per=100, sep=10.0):
@@ -95,6 +95,18 @@ class TestKMeans:
         single = KMeans(n_clusters=3, n_init=1, rng=0).fit(x)
         assert multi.inertia_ <= single.inertia_ * 1.001
 
+    def test_an_emptied_cluster_is_reseeded_at_the_farthest_point(self, monkeypatch):
+        x = np.array([[0.0], [1.0], [2.0], [9.0]])
+        # two equal seeds: the second owns no point on the first pass
+        monkeypatch.setattr(kmeans, "_plus_plus",
+                            lambda x, x_sq, k, rng: np.array([[0.0], [0.0], [9.0]]))
+        km = KMeans(n_clusters=3, max_iter=1, rng=0).fit(x)
+        # 2.0 lies farthest from its center (0.0): the empty cluster restarts
+        # there, while the others move to their means (1.0 and 9.0)
+        assert km.cluster_centers_.ravel().tolist() == [1.0, 2.0, 9.0]
+        assert km.labels_.tolist() == [0, 0, 1, 2]
+        assert km.inertia_ == 1.0
+
     @given(
         n=st.integers(8, 60),
         d=st.integers(1, 4),
@@ -139,6 +151,42 @@ class TestMiniBatchKMeans:
         a = MiniBatchKMeans(n_clusters=4, rng=3).fit(x)
         b = MiniBatchKMeans(n_clusters=4, rng=3).fit(x)
         assert np.allclose(a.cluster_centers_, b.cluster_centers_)
+
+    def test_reassign_moves_a_starved_center_onto_a_data_point(self):
+        x = np.arange(20.0).reshape(10, 2)
+        mb = MiniBatchKMeans(n_clusters=3, rng=0)
+        mb.cluster_centers_ = np.array([[0.0, 1.0], [50.0, 50.0], [18.0, 19.0]])
+        mb._counts = np.array([500.0, 2.0, 498.0])
+        mb._maybe_reassign(x)
+        # below 0.01 * 1000 / 3 points: only center 1 is starved
+        assert mb.cluster_centers_[[0, 2]].tolist() == [[0.0, 1.0], [18.0, 19.0]]
+        assert any(np.array_equal(mb.cluster_centers_[1], row) for row in x)
+        assert mb._counts.tolist() == [500.0, 1.0, 498.0]
+
+    def test_a_fit_reassigns_a_center_seeded_on_an_outlier(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((300, 2))
+        x[0] = [60.0, 60.0]
+        reassigned = 0
+        for seed in range(8):
+            mb = MiniBatchKMeans(n_clusters=4, batch_size=30, max_iter=30,
+                                 reassignment_ratio=0.2, rng=seed).fit(x)
+            for center in mb.cluster_centers_[mb._counts == 1.0]:
+                assert any(np.array_equal(center, row) for row in x)
+                reassigned += 1
+        assert reassigned > 0
+
+    def test_batch_size_above_n_draws_every_row_once(self):
+        """The batch is clamped to n and drawn without replacement, so each
+        iteration sees every row exactly once."""
+        x = np.random.default_rng(12).standard_normal((40, 3))
+        big = MiniBatchKMeans(n_clusters=3, batch_size=1000, max_iter=7,
+                              reassignment_ratio=0.0, rng=4).fit(x)
+        exact = MiniBatchKMeans(n_clusters=3, batch_size=40, max_iter=7,
+                                reassignment_ratio=0.0, rng=4).fit(x)
+        assert big._counts.sum() == 40 * big.n_iter_
+        assert np.array_equal(big.cluster_centers_, exact.cluster_centers_)
+        assert np.array_equal(big.labels_, exact.labels_)
 
     def test_bad_params(self):
         with pytest.raises(ValueError):

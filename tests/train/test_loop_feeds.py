@@ -1,6 +1,8 @@
 """Tests for the step-based TrainLoop, BatchFeed implementations, and
 callbacks — the stream-first training redesign's unit layer."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from repro.data import build_dataset
 from repro.data.sources import open_source
 from repro.nn import LSTMRegressor, MLPTransformer
 from repro.nn.tensor import Tensor
+from repro.parallel import run_spmd
+from repro.parallel.threadcomm import ThreadComm
 from repro.sampling import subsample
 from repro.train import (
     ArrayFeed,
@@ -121,6 +125,63 @@ class TestArrayFeedEquivalence:
         assert loop.model.training  # eval mode ends with the pass
         assert "Evaluation on test set" in r.report()
         assert r.meta["feed"]["kind"] == "ArrayFeed"
+
+
+def uneven_arrays():
+    """10 samples at ``test_frac=0.1``: 9 train rows, sharded 5 and 4 over
+    2 ranks, so at ``batch=4`` rank 0 holds 2 batches and rank 1 one."""
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((10, 3, 2)), rng.standard_normal((10, 1, 1))
+
+
+def uneven_ddp_fit(comm):
+    x, y = uneven_arrays()
+    loop = TrainLoop(LSTMRegressor(input_dim=2, hidden=4, rng=0), comm=comm, seed=0)
+    feed = ArrayFeed(x, y, batch=4, test_frac=0.1, seed=0, comm=loop.comm)
+    result = loop.fit(feed, epochs=2)
+    return feed.n_train, result.final_test_loss, [p.data.copy() for p in loop.model.parameters()]
+
+
+class TestArrayFeedLockStep:
+    """A DDP ``ArrayFeed`` whose shards hold different batch counts: every
+    rank takes the largest shard's count, a short rank replaying its last
+    batch, so every rank joins every gradient all-reduce."""
+
+    def test_short_rank_replays_its_last_batch(self):
+        x, y = uneven_arrays()
+        per_rank = []
+        for rank in (0, 1):
+            comm = SimpleNamespace(size=2, rank=rank)
+            feed = ArrayFeed(x, y, batch=4, test_frac=0.1, seed=0, comm=comm)
+            per_rank.append((feed.n_train, list(feed.train_batches(0))))
+        (n0, long), (n1, short) = per_rank
+        assert (n0, n1) == (5, 4)
+        assert [len(b[0]) for b in long] == [4, 1]
+        assert [len(b[0]) for b in short] == [4, 4]
+        assert short[1] is short[0]
+
+    def test_serial_feed_does_not_replay(self):
+        x, y = uneven_arrays()
+        feed = ArrayFeed(x, y, batch=4, test_frac=0.1, seed=0)
+        assert [len(b[0]) for b in feed.train_batches(0)] == [4, 4, 1]
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_uneven_shards_fit_on_both_backends(self, backend, monkeypatch):
+        # a rank left waiting in a collective fails in seconds, not 120 s
+        monkeypatch.setattr(ThreadComm, "TIMEOUT", 10.0)
+        res = run_spmd(uneven_ddp_fit, 2, backend=backend, timeout=30.0)
+        (n0, loss0, params0), (n1, loss1, params1) = res.values
+        assert (n0, n1) == (5, 4)
+        assert np.isfinite(loss0) and loss0 == loss1
+        for a, b in zip(params0, params1):
+            assert np.array_equal(a, b)
+
+    def test_a_rank_without_training_rows_is_rejected(self):
+        x, y = uneven_arrays()
+        for rank in (0, 1, 2):
+            with pytest.raises(ValueError, match=r"rank\(s\) \[2\] have no training rows"):
+                ArrayFeed(x[:3], y[:3], batch=4, test_frac=0.1, seed=0,
+                          comm=SimpleNamespace(size=3, rank=rank))
 
 
 class TestCallbacks:
