@@ -197,6 +197,8 @@ class MiniBatchKMeans:
             raise ValueError("n_clusters must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         self.n_clusters = n_clusters
         self.batch_size = batch_size
         self.max_iter = max_iter

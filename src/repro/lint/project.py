@@ -86,10 +86,6 @@ class FunctionInfo:
         a = self.node.args
         return [*a.posonlyargs, *a.args, *a.kwonlyargs]
 
-    @property
-    def param_names(self) -> list[str]:
-        return [p.arg for p in self.params]
-
     def decorator_names(self) -> set[str]:
         out: set[str] = set()
         for deco in self.node.decorator_list:
@@ -98,10 +94,6 @@ class FunctionInfo:
             if name is not None:
                 out.add(name.split(".")[-1])
         return out
-
-    @property
-    def is_static_or_class(self) -> bool:
-        return bool(self.decorator_names() & {"staticmethod", "classmethod"})
 
     @property
     def is_property(self) -> bool:
@@ -185,9 +177,6 @@ class ProjectGraph:
             cinfo.base_quals = tuple(quals)
 
     # -- name resolution -----------------------------------------------------
-
-    def modname_of(self, relpath: str) -> str:
-        return self._modname[relpath]
 
     def _resolve_symbol(
         self, src: SourceFile, modname: str, node: ast.expr

@@ -8,12 +8,21 @@ active :class:`~repro.energy.meter.EnergyMeter`, which is how training energy
 
 Broadcasting follows numpy; gradients are un-broadcast (summed) back to each
 parent's shape.
+
+A layer may build one node for a whole composite (``nn.layers``' Linear,
+LayerNorm and GELU do).  Such a fused node must give what the primitive
+nodes it stands for gave, bit for bit: its forward evaluates the same
+expressions, and its backward issues the same numpy calls in the same order,
+with one :meth:`Tensor._accumulate` per primitive contribution to an input
+and the same :func:`account` charges.  It may skip the copy a primitive node
+made of the gradient it received, but not the cast to that node's dtype.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 import numpy as np
 
@@ -24,6 +33,9 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 # Thread-local so SPMD thread ranks (DDP) toggle grad mode independently —
 # one rank evaluating must not disable autograd under its training peers.
 _state = threading.local()
+
+_F64 = np.dtype(np.float64)
+_F32 = np.dtype(np.float32)
 
 
 class no_grad:
@@ -118,16 +130,28 @@ class Tensor:
     @staticmethod
     def _make(
         data: np.ndarray,
-        parents: Iterable[Tensor],
+        parents: tuple[Tensor, ...],
         backward: Callable[[np.ndarray], None],
     ) -> Tensor:
-        parents = tuple(parents)
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data)
-        out.requires_grad = requires
-        if requires:
-            out._parents = parents
-            out._backward = backward
+        # Built without __init__: an op's result is nearly always a float64
+        # or float32 ndarray already, which __init__ would convert anyway.
+        if type(data) is not np.ndarray or (data.dtype is not _F64 and data.dtype is not _F32):
+            data = np.asarray(data)
+            data = data.astype(np.float32 if data.dtype == np.float32 else np.float64, copy=False)
+        out = object.__new__(Tensor)
+        out.data = data
+        out.grad = None
+        out.name = ""
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
+        if is_grad_enabled():
+            for p in parents:
+                if p.requires_grad:
+                    out.requires_grad = True
+                    out._parents = parents
+                    out._backward = backward
+                    break
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -317,7 +341,7 @@ class Tensor:
             count = self.size
         else:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = int(np.prod([self.shape[a % self.ndim] for a in axes]))
+            count = math.prod(self.shape[a % self.ndim] for a in axes)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def max(self, axis: int, keepdims: bool = False) -> Tensor:
@@ -353,13 +377,16 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        inverse = np.argsort(axes)
+        data = self.data.transpose(axes)  # rejects a repeated or out-of-range axis
+        inverse = [0] * len(axes)
+        for i, a in enumerate(axes):
+            inverse[a % self.ndim] = i
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(g.transpose(inverse))
 
-        return Tensor._make(self.data.transpose(axes), (self,), backward)
+        return Tensor._make(data, (self,), backward)
 
     def __getitem__(self, key) -> Tensor:
         data = self.data[key]

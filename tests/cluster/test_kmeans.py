@@ -193,6 +193,9 @@ class TestMiniBatchKMeans:
             MiniBatchKMeans(n_clusters=0)
         with pytest.raises(ValueError):
             MiniBatchKMeans(n_clusters=2, batch_size=0)
+        # as KMeans: a fit that ran no iteration would have no centers
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            MiniBatchKMeans(n_clusters=2, max_iter=0)
 
 
 class TestEnergyInstrumentation:

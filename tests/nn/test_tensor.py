@@ -106,6 +106,12 @@ class TestReductionsAndShape:
         x = RNG.standard_normal((2, 3, 4))
         gradcheck(lambda t: (t.reshape(6, 4).transpose() ** 2).sum(), x)
 
+    @pytest.mark.parametrize("axes", [(0, -1, 1), (-1, -3, -2), (-2, 0, 2)])
+    def test_transpose_negative_axes(self, axes):
+        x = RNG.standard_normal((2, 3, 4))
+        weights = Tensor(RNG.standard_normal(x.transpose(axes).shape))
+        gradcheck(lambda t: (t.transpose(*axes) * weights).sum(), x)
+
     def test_getitem(self):
         x = RNG.standard_normal((5, 3))
         gradcheck(lambda t: (t[1:4, :2] ** 2).sum(), x)
