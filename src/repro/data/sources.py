@@ -36,10 +36,10 @@ spans; per-rank samples are then recombined by weighted reservoir merge).
 Sources may also support *asynchronous prefetch*: :meth:`SnapshotSource.prefetch`
 is an advisory look-ahead hint (no-op by default);  ``ShardDirSource``
 honours it with a background decode thread so each consumer overlaps shard
-decode with sampling, and (with ``lazy=True``) decodes shard members per
-variable on first access — what "member decode" costs is the codec's
-business (npz reads one zip entry, raw memory-maps one file,
-chunked reads one variable's chunk files).
+decode with sampling, and decodes shard members per variable on first
+access — what "member decode" costs is the codec's business (npz reads one
+zip entry, raw memory-maps one file, chunked reads one variable's chunk
+files).
 
 :func:`open_source` is the one factory every entry point routes through:
 it resolves a source object (identity), a ``TurbulenceDataset``
@@ -313,19 +313,16 @@ class ShardDirSource(SnapshotSource):
     ``N`` shards ahead of every access (and whatever :meth:`prefetch` names
     explicitly) into the same bounded LRU, so a streaming consumer overlaps
     shard decode with its own sampling compute; ``cache_info()`` counts the
-    hits served from prefetched entries.  ``lazy=True`` (the default)
-    decodes shard members per variable on first access — a consumer that
-    reads two of six variables pays for exactly those two (the prefetcher
-    still materializes whole shards: it exists to move decode off the
-    consumer's thread).
+    hits served from prefetched entries.  Shard members decode per
+    variable on first access — a consumer that reads two of six variables
+    pays for exactly those two (the prefetcher still materializes whole
+    shards: it exists to move decode off the consumer's thread).
     """
 
     #: which storage tier serves decodes (overridden by remote wrappers)
     tier = "local"
 
-    def __init__(
-        self, path: str, max_cached: int = 2, prefetch: int = 0, lazy: bool = True
-    ) -> None:
+    def __init__(self, path: str, max_cached: int = 2, prefetch: int = 0) -> None:
         if max_cached < 1:
             raise ValueError("max_cached must be >= 1")
         if prefetch < 0:
@@ -335,7 +332,6 @@ class ShardDirSource(SnapshotSource):
         self.codec = get_codec(manifest.get("codec", "npz"))
         self.max_cached = int(max_cached)
         self.prefetch_depth = int(prefetch)
-        self.lazy = bool(lazy)
         self.label = manifest["label"]
         self.description = manifest.get("description", "")
         self.input_vars = list(manifest["input_vars"])
@@ -379,7 +375,6 @@ class ShardDirSource(SnapshotSource):
         return ShardDirSource(
             self.layout_path if path is None else path,
             max_cached=self.max_cached, prefetch=self.prefetch_depth,
-            lazy=self.lazy,
         )
 
     def shard_path(self, i: int) -> str:
@@ -411,8 +406,6 @@ class ShardDirSource(SnapshotSource):
         """Decode shard `i` through the codec (outside the lock, so
         decodes overlap)."""
         self.shard_path(i)  # validate the index
-        if not self.lazy:
-            return self.codec.decode(self.path, i)
         field = self.codec.decode_lazy(self.path, i)
         if materialize:
             field.materialize()
@@ -643,7 +636,6 @@ class RemoteTieredSource(ShardDirSource):
         bandwidth: float = 100e6,
         max_cached: int = 2,
         prefetch: int = 0,
-        lazy: bool = True,
     ) -> None:
         if max_staged < 1:
             raise ValueError("max_staged must be >= 1")
@@ -670,9 +662,7 @@ class RemoteTieredSource(ShardDirSource):
             self._staged: OrderedDict[int, int] = OrderedDict()  # index -> bytes
             self._staging: dict[int, threading.Event] = {}  # in-flight fetches
             self._decoding: dict[int, int] = {}  # index -> active reads (pins)
-            super().__init__(
-                staging, max_cached=max_cached, prefetch=prefetch, lazy=lazy
-            )
+            super().__init__(staging, max_cached=max_cached, prefetch=prefetch)
         except BaseException:
             if self._owns_staging:
                 shutil.rmtree(staging, ignore_errors=True)
@@ -687,7 +677,7 @@ class RemoteTieredSource(ShardDirSource):
             self.remote_path if path is None else path,
             max_staged=self.max_staged, latency_s=self.latency_s,
             bandwidth=self.bandwidth, max_cached=self.max_cached,
-            prefetch=self.prefetch_depth, lazy=self.lazy,
+            prefetch=self.prefetch_depth,
         )
 
     # ---- staging tier ------------------------------------------------------
@@ -1046,7 +1036,6 @@ def open_source(
     *,
     max_cached: int = 2,
     prefetch: int = 0,
-    lazy: bool = True,
 ) -> SnapshotSource:
     """Resolve anything the pipeline ingests to a :class:`SnapshotSource`.
 
@@ -1067,7 +1056,7 @@ def open_source(
       query knobs optional (``latency_s``, ``bandwidth``, ``max_staged``,
       ``staging_dir``).
 
-    ``max_cached`` / ``prefetch`` / ``lazy`` configure whichever
+    ``max_cached`` / ``prefetch`` configure whichever
     shard-backed source the spec resolves to.
     """
     if isinstance(spec, SnapshotSource):
@@ -1090,10 +1079,8 @@ def open_source(
                 f"unknown remote:// option {exc.args[0]!r}; "
                 f"expected one of {sorted(_REMOTE_KNOBS)}"
             ) from None
-        return RemoteTieredSource(
-            path, max_cached=max_cached, prefetch=prefetch, lazy=lazy, **knobs
-        )
-    source = ShardDirSource(path, max_cached=max_cached, prefetch=prefetch, lazy=lazy)
+        return RemoteTieredSource(path, max_cached=max_cached, prefetch=prefetch, **knobs)
+    source = ShardDirSource(path, max_cached=max_cached, prefetch=prefetch)
     want = options.get("codec")
     if want is not None and source.codec.name != want:
         source.close()

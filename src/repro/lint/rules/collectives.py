@@ -1,10 +1,10 @@
 """RPL007 — SPMD collective lock-step (interprocedural).
 
-Every ``Communicator`` collective (``allreduce``/``bcast``/``barrier``/
-``gather``/``reduce_many``/...) is a rendezvous: all ranks must reach it
-the same number of times in the same order, or the ranks that did show up
-block forever (``ProcessComm`` then dies on its recv timeout, the thread
-backend just hangs).  The classic way to break this is a rank-dependent
+Every ``Communicator`` collective (``bcast``/``gather``/``allreduce``; the
+rule counts the ``reduce_many`` fold too) is a rendezvous: all ranks must
+reach it the same number of times in the same order, or the ranks that did
+show up block forever (``ProcessComm`` then dies on its recv timeout, the
+thread backend just hangs).  The classic way to break this is a rank-dependent
 branch::
 
     if comm.rank == 0:
@@ -43,7 +43,8 @@ from repro.lint.project import FunctionInfo, ProjectGraph
 
 CODE = "RPL007"
 
-#: Communicator rendezvous methods + the module-level convenience wrapper.
+#: Communicator rendezvous methods, mpi4py's other collective names, and the
+#: module-level fold.
 COLLECTIVES = frozenset({
     "barrier", "bcast", "broadcast", "scatter", "gather", "allgather",
     "reduce", "allreduce", "alltoall", "reduce_many",

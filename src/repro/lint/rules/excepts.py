@@ -1,7 +1,7 @@
 """RPL006 — blanket exception swallowing.
 
 The fault-tolerance machinery depends on failures *propagating*: a
-:class:`~repro.parallel.threadcomm.RankFailure` must reach the partial-
+:class:`~repro.parallel.comm.RankFailure` must reach the partial-
 stream merge, a dead worker's ``RuntimeError`` must reach the hub, and a
 broken barrier must abort its peers.  A bare ``except:`` (which also eats
 ``KeyboardInterrupt``/``SystemExit``) or an ``except Exception: pass``

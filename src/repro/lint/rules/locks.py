@@ -2,8 +2,8 @@
 
 The thread-shared state in this codebase (the :class:`ShardDirSource`
 LRU and prefetcher bookkeeping, the :class:`RemoteTieredSource` staging
-tier, :class:`SimulationSource` replay state, the :class:`CommWorld`
-mailbox table, lazy-member decode caches) follows one
+tier, :class:`SimulationSource` replay state, the serve
+:class:`Scheduler` job table, lazy-member decode caches) follows one
 convention: a class owns a ``threading.Lock``/``RLock`` attribute, and
 every attribute it mutates under ``with self._lock:`` is touched *only*
 under that lock.  This checker is a lightweight intra-class race

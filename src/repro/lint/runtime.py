@@ -68,7 +68,6 @@ GUARDED_CLASSES = (
      ("_staged", "_staging", "_decoding")),
     ("repro.data.sources", "SimulationSource", "_lock",
      ("_cache", "_it", "_pos", "_seen_times", "_grid_shape", "_snapshot_nbytes")),
-    ("repro.parallel.threadcomm", "CommWorld", "_queues_lock", ("_queues",)),
     ("repro.serve.scheduler", "Scheduler", "_lock",
      ("_jobs", "_by_key", "_queue", "_running_cost", "_draining", "_closed",
       "_seq", "_counters", "_cache_infos", "_energy_total")),

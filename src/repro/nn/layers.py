@@ -64,6 +64,8 @@ class Linear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         x = Tensor.as_tensor(x)
+        if x.ndim < 2:
+            raise ValueError(f"expected an input of 2 or more dims, got shape {x.shape}")
         if x.shape[-1] != self.in_features:
             raise ValueError(f"expected last dim {self.in_features}, got {x.shape[-1]}")
         w, b = self.weight, self.bias

@@ -437,6 +437,8 @@ class Tensor:
     def matmul(self, other: Tensor) -> Tensor:
         other = Tensor.as_tensor(other)
         a, b = self.data, other.data
+        if a.ndim < 2 or b.ndim < 2:
+            raise ValueError(f"matmul needs operands of 2 or more dims, got {a.shape} @ {b.shape}")
         data = a @ b
         # FLOPs: 2 * (product of output dims) * inner dim.
         account(flops=2.0 * data.size * a.shape[-1], device="gpu")

@@ -6,21 +6,21 @@ ranks (Fig 7).  mpi4py and a real interconnect are unavailable offline, so this
 package provides:
 
 * :class:`~repro.parallel.comm.Communicator` — the mpi4py-like interface the
-  sampling pipeline codes against (``rank``/``size``/``bcast``/``scatter``/
-  ``gather``/``allgather``/``allreduce``/``alltoall``/``barrier``/``send``/
-  ``recv``),
+  sampling pipeline codes against (``rank``/``size``/``bcast``/``gather``/
+  ``allreduce``, the three collectives the program calls, each defined once),
 * :class:`~repro.parallel.comm.SerialComm` — a size-1 no-op communicator,
-* :class:`~repro.parallel.threadcomm.ThreadComm` + :func:`~repro.parallel.spmd.run_spmd`
-  — a thread-backed SPMD executor with *correct collective semantics* (every
-  rank really runs concurrently and synchronizes),
+* :class:`~repro.parallel.threadcomm.ThreadComm` and
+  :class:`~repro.parallel.procomm.ProcessComm` + :func:`~repro.parallel.spmd.run_spmd`
+  — thread- and process-backed SPMD executors with *correct collective
+  semantics* (every rank really runs concurrently and synchronizes),
 * :class:`~repro.parallel.perfmodel.PerfModel` — a LogGP-style analytic cost
   model that converts per-rank compute/communication counters into virtual
   time, reproducing Fig 7's speedup/efficiency curves (quasilinear region,
   then a knee where ranks starve) without needing 512 physical cores.
 """
 
-from repro.parallel.comm import Communicator, SerialComm
-from repro.parallel.threadcomm import RankFailure, ThreadComm
+from repro.parallel.comm import Communicator, PeerRankFailed, RankFailure, SerialComm
+from repro.parallel.threadcomm import ThreadComm
 from repro.parallel.procomm import ProcessComm, ProcessCommWorld
 from repro.parallel.spmd import SPMD_BACKENDS, run_spmd
 from repro.parallel.perfmodel import PerfModel, VirtualClock, CommStats
@@ -41,6 +41,7 @@ __all__ = [
     "ProcessComm",
     "ProcessCommWorld",
     "RankFailure",
+    "PeerRankFailed",
     "run_spmd",
     "SPMD_BACKENDS",
     "PerfModel",

@@ -1,12 +1,20 @@
-"""Communicator interface and the trivial serial implementation.
+"""Communicator interface, the collectives' result rules, and the serial
+implementation.
 
 The sampling pipeline and DDP trainer code exclusively against
 :class:`Communicator`; swapping :class:`SerialComm` for
 :class:`~repro.parallel.threadcomm.ThreadComm` parallelizes them without code
 changes — the same property the paper gets from mpi4py's interface.
 
-Reduction operators are named strings (``"sum"``, ``"max"``, ...) applied
-element-wise to numpy arrays or Python scalars, mirroring ``MPI.SUM`` etc.
+The program needs three collectives, ``bcast``, ``gather`` and
+``allreduce``, and each is defined once, on :class:`Communicator`: it checks
+its arguments, rendezvouses through the backend's
+:meth:`Communicator._collective`, whose result :func:`collective_results`
+computes, and charges the rank's virtual clock.
+
+Reduction operators are named strings (``"sum"``, ``"max"``, ``"min"``)
+applied element-wise to numpy arrays or Python scalars, mirroring
+``MPI.SUM`` etc.
 """
 
 from __future__ import annotations
@@ -19,15 +27,23 @@ import numpy as np
 
 from repro.parallel.perfmodel import PerfModel, VirtualClock
 
-__all__ = ["Communicator", "SerialComm", "REDUCE_OPS", "payload_nbytes", "reduce_many"]
+__all__ = [
+    "Communicator", "SerialComm", "RankFailure", "PeerRankFailed", "REDUCE_OPS",
+    "collective_results", "payload_nbytes", "reduce_many",
+]
+
+
+class RankFailure(RuntimeError):
+    """A rank died mid-computation (raised by an armed fault hook)."""
+
+
+class PeerRankFailed(RuntimeError):
+    """Raised on a rank whose peer failed while it waited in a collective:
+    a side effect of that failure, which the run reports instead."""
 
 
 def _sum(a: Any, b: Any) -> Any:
     return a + b
-
-
-def _prod(a: Any, b: Any) -> Any:
-    return a * b
 
 
 def _max(a: Any, b: Any) -> Any:
@@ -40,7 +56,6 @@ def _min(a: Any, b: Any) -> Any:
 
 REDUCE_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "sum": _sum,
-    "prod": _prod,
     "max": _max,
     "min": _min,
 }
@@ -65,6 +80,21 @@ def reduce_many(values: Sequence[Any], op: str) -> Any:
     return acc
 
 
+def collective_results(
+    op: str, root: int | None, reduce_op: str | None, slots: Sequence[Any]
+) -> list[Any]:
+    """Every rank's result of collective `op`, from the contributions
+    `slots` in rank order.  Results may alias the contributions."""
+    size = len(slots)
+    if op == "bcast":
+        return [slots[root]] * size
+    if op == "gather":
+        return [list(slots) if r == root else None for r in range(size)]
+    if op == "allreduce":
+        return [reduce_many(slots, reduce_op)] * size
+    raise ValueError(f"unknown collective {op!r}")
+
+
 def payload_nbytes(obj: Any) -> int:
     """Approximate wire size of a payload for the performance model."""
     if obj is None:
@@ -85,7 +115,16 @@ def payload_nbytes(obj: Any) -> int:
 
 
 class Communicator(abc.ABC):
-    """mpi4py-flavoured communicator: size, rank, and collectives."""
+    """mpi4py-flavoured communicator: rank, size, and three collectives.
+
+    A backend supplies :meth:`_collective`; a collective that spans more
+    than one rank advances the clock to ``max(arrival times) + modeled
+    cost``, and a one-rank collective moves nothing and charges nothing.
+    """
+
+    #: ``fault_hook(rank, **context) -> bool``; True kills the calling rank
+    #: at its next :meth:`maybe_fail` checkpoint
+    _fault_hook: Callable[..., bool] | None = None
 
     @property
     @abc.abstractmethod
@@ -100,55 +139,55 @@ class Communicator(abc.ABC):
     def clock(self) -> VirtualClock:
         """This rank's virtual clock (perf-model accounting)."""
 
-    @abc.abstractmethod
-    def barrier(self) -> None: ...
+    def bcast(self, obj: Any, root: int = 0) -> Any:
+        self._check_root(root)
+        return self._run("bcast", obj if self.rank == root else None, root, None)
 
-    @abc.abstractmethod
-    def bcast(self, obj: Any, root: int = 0) -> Any: ...
+    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
+        self._check_root(root)
+        return self._run("gather", obj, root, None)
 
-    @abc.abstractmethod
-    def scatter(self, chunks: Sequence[Any] | None, root: int = 0) -> Any: ...
-
-    @abc.abstractmethod
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None: ...
-
-    @abc.abstractmethod
-    def allgather(self, obj: Any) -> list[Any]: ...
-
-    @abc.abstractmethod
-    def reduce(self, obj: Any, op: str = "sum", root: int = 0) -> Any: ...
-
-    @abc.abstractmethod
-    def allreduce(self, obj: Any, op: str = "sum") -> Any: ...
-
-    @abc.abstractmethod
-    def alltoall(self, chunks: Sequence[Any]) -> list[Any]: ...
-
-    @abc.abstractmethod
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None: ...
-
-    @abc.abstractmethod
-    def recv(self, source: int, tag: int = 0) -> Any: ...
-
-    # Convenience shared by all implementations -------------------------------
+    def allreduce(self, obj: Any, op: str = "sum") -> Any:
+        if op not in REDUCE_OPS:
+            raise ValueError(f"unknown reduce op {op!r}")
+        return self._run("allreduce", obj, None, op)
 
     def account_compute(self, work: float) -> None:
         """Charge `work` units of local computation to the virtual clock."""
         self.clock.add_compute(work)
 
     def maybe_fail(self, **context: Any) -> None:
-        """Fault-injection checkpoint; a no-op unless the communicator
-        carries an armed fault hook (see
-        :meth:`repro.parallel.threadcomm.ThreadComm.maybe_fail`).  Serial
-        runs never inject faults — there is no peer to survive them."""
-        return None
+        """Fault-injection checkpoint: die if this rank's fault hook says so.
+
+        Long-running rank loops call this at natural progress boundaries
+        (e.g. once per streamed chunk) with whatever `context` describes the
+        progress — the hook receives ``(rank, **context)`` and returning
+        True raises :class:`RankFailure` on this rank.  No-op without a
+        hook, so production paths pay one attribute check; serial runs
+        never carry one — there is no peer to survive the failure.
+        """
+        hook = self._fault_hook
+        if hook is not None and hook(self.rank, **context):
+            raise RankFailure(f"rank {self.rank} killed by fault hook at {context!r}")
+
+    def _collective(
+        self, op: str, contribution: Any, root: int | None, reduce_op: str | None
+    ) -> tuple[Any, float]:
+        """Rendezvous with every rank: returns this rank's entry of
+        :func:`collective_results` and the latest virtual arrival time."""
+        raise NotImplementedError
+
+    def _run(self, op: str, contribution: Any, root: int | None, reduce_op: str | None) -> Any:
+        result, arrival_max = self._collective(op, contribution, root, reduce_op)
+        if self.size > 1:
+            # bcast moves the root's payload; the others this rank's own
+            nbytes = payload_nbytes(result if op == "bcast" else contribution)
+            self.clock.sync_to(arrival_max, op, nbytes, self.size)
+        return result
 
     def _check_root(self, root: int) -> None:
         if not (0 <= root < self.size):
             raise ValueError(f"root {root} out of range for size {self.size}")
-
-    def _reduce_many(self, values: list[Any], op: str) -> Any:
-        return reduce_many(values, op)
 
 
 class SerialComm(Communicator):
@@ -173,42 +212,7 @@ class SerialComm(Communicator):
     def clock(self) -> VirtualClock:
         return self._clock
 
-    def barrier(self) -> None:
-        return None
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        self._check_root(root)
-        return obj
-
-    def scatter(self, chunks: Sequence[Any] | None, root: int = 0) -> Any:
-        self._check_root(root)
-        if chunks is None:
-            raise ValueError("root rank must supply chunks")
-        if len(chunks) != 1:
-            raise ValueError(f"scatter expects 1 chunk on a serial comm, got {len(chunks)}")
-        return chunks[0]
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        self._check_root(root)
-        return [obj]
-
-    def allgather(self, obj: Any) -> list[Any]:
-        return [obj]
-
-    def reduce(self, obj: Any, op: str = "sum", root: int = 0) -> Any:
-        self._check_root(root)
-        return self._reduce_many([obj], op)
-
-    def allreduce(self, obj: Any, op: str = "sum") -> Any:
-        return self._reduce_many([obj], op)
-
-    def alltoall(self, chunks: Sequence[Any]) -> list[Any]:
-        if len(chunks) != 1:
-            raise ValueError(f"alltoall expects 1 chunk on a serial comm, got {len(chunks)}")
-        return list(chunks)
-
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        raise RuntimeError("send/recv not available on a serial communicator")
-
-    def recv(self, source: int, tag: int = 0) -> Any:
-        raise RuntimeError("send/recv not available on a serial communicator")
+    def _collective(
+        self, op: str, contribution: Any, root: int | None, reduce_op: str | None
+    ) -> tuple[Any, float]:
+        return collective_results(op, root, reduce_op, [contribution])[0], self._clock.t

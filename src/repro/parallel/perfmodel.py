@@ -29,18 +29,9 @@ __all__ = ["PerfModel", "VirtualClock", "CommStats"]
 class CommStats:
     """Counters accumulated by a communicator on behalf of one rank."""
 
-    messages: int = 0
     bytes_sent: int = 0
     collectives: int = 0
-    barriers: int = 0
     compute_work: float = 0.0
-
-    def merge(self, other: CommStats) -> None:
-        self.messages += other.messages
-        self.bytes_sent += other.bytes_sent
-        self.collectives += other.collectives
-        self.barriers += other.barriers
-        self.compute_work += other.compute_work
 
 
 @dataclass
@@ -72,28 +63,20 @@ class PerfModel:
             raise ValueError("work must be non-negative")
         return work / self.compute_rate
 
-    def p2p_time(self, nbytes: int) -> float:
-        """Point-to-point message cost."""
-        return self.alpha + nbytes * self.beta
-
     def collective_time(self, op: str, nbytes: int, p: int) -> float:
         """Cost of one collective over *p* ranks moving *nbytes* per rank.
 
         Tree algorithms take ``ceil(log2 p)`` rounds of (alpha + n*beta);
-        all-to-all pays p-1 pairwise exchanges.
+        allreduce is a reduce followed by a bcast, so twice that.
         """
         if p <= 1:
             return 0.0
         rounds = math.ceil(math.log2(p))
         per_round = self.alpha + nbytes * self.beta
-        if op == "barrier":
-            base = rounds * self.alpha
-        elif op in ("bcast", "reduce", "scatter", "gather"):
+        if op in ("bcast", "gather"):
             base = rounds * per_round
-        elif op in ("allreduce", "allgather"):
+        elif op == "allreduce":
             base = 2 * rounds * per_round
-        elif op == "alltoall":
-            base = (p - 1) * per_round
         else:
             raise ValueError(f"unknown collective {op!r}")
         return base * (1.0 + self.imbalance * rounds)
@@ -117,16 +100,8 @@ class VirtualClock:
         self.stats.compute_work += work
         self.t += self.model.compute_time(work)
 
-    def add_p2p(self, nbytes: int) -> None:
-        self.stats.messages += 1
-        self.stats.bytes_sent += nbytes
-        self.t += self.model.p2p_time(nbytes)
-
     def sync_to(self, arrival_max: float, op: str, nbytes: int, p: int) -> None:
         """Advance to the collective's completion time."""
-        if op == "barrier":
-            self.stats.barriers += 1
-        else:
-            self.stats.collectives += 1
-            self.stats.bytes_sent += nbytes
+        self.stats.collectives += 1
+        self.stats.bytes_sent += nbytes
         self.t = max(self.t, arrival_max) + self.model.collective_time(op, nbytes, p)

@@ -8,9 +8,9 @@ run with true parallelism.
 
 Topology is hub-and-spoke: the parent process is the switchboard.  Each rank
 is a forked worker holding one duplex pipe to the parent; the parent runs an
-event loop (:class:`_Hub`) that assembles collectives, routes point-to-point
-messages, and watches process sentinels so a dead worker aborts its peers
-instead of deadlocking them.
+event loop (:class:`_Hub`) that assembles collectives, takes their results
+from :func:`~repro.parallel.comm.collective_results`, and watches process
+sentinels so a dead worker aborts its peers instead of deadlocking them.
 
 Transport is pickle protocol 5 with out-of-band buffers.  Each rank has two
 persistent :class:`multiprocessing.shared_memory.SharedMemory` arenas for the
@@ -28,14 +28,14 @@ collective in flight, so an arena only ever holds the message being read:
 the hub folds contributions from zero-copy views and writes every rank's
 result before replying to any, and ranks copy results out (value semantics
 — mutating a received array never corrupts a peer or the next receive).
-Point-to-point payloads travel in-band through the pipe.
 
-Determinism contract: collectives complete in rank order with the same
-reduction fold as every other backend (:func:`~repro.parallel.comm.reduce_many`)
-and each worker advances its :class:`~repro.parallel.perfmodel.VirtualClock`
-with the identical per-op byte accounting as :class:`ThreadComm`, so results
-*and* virtual clocks are bitwise identical across ``backend="thread"`` and
-``backend="process"`` for the same (seed, nranks).
+Determinism contract: collectives complete in rank order with the result
+rules and reduction fold of every other backend
+(:func:`~repro.parallel.comm.collective_results`), and each worker's
+:class:`~repro.parallel.perfmodel.VirtualClock` is charged by the same
+:class:`~repro.parallel.comm.Communicator` code as :class:`ThreadComm`'s, so
+results *and* virtual clocks are bitwise identical across
+``backend="thread"`` and ``backend="process"`` for the same (seed, nranks).
 
 Requires a platform with the ``fork`` start method (Linux): rank functions
 are arbitrary closures, which survive fork but do not pickle.
@@ -49,14 +49,12 @@ import pickle
 import selectors
 import time
 import traceback
-from collections import deque
 from multiprocessing import connection, get_context, shared_memory
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import Any
 
-from repro.parallel.comm import Communicator, payload_nbytes, reduce_many
+from repro.parallel.comm import Communicator, PeerRankFailed, collective_results
 from repro.parallel.perfmodel import PerfModel, VirtualClock
-from repro.parallel.threadcomm import RankFailure
 
 __all__ = ["ProcessComm", "ProcessCommWorld", "run_process_spmd", "SHM_THRESHOLD"]
 
@@ -236,6 +234,7 @@ class ProcessComm(Communicator):
         self._up = up
         self._down = down
         self._clock = VirtualClock(model=world.model)
+        self._fault_hook = world.fault_hook
 
     @property
     def rank(self) -> int:
@@ -248,14 +247,6 @@ class ProcessComm(Communicator):
     @property
     def clock(self) -> VirtualClock:
         return self._clock
-
-    def maybe_fail(self, **context: Any) -> None:
-        """Fault-injection checkpoint, same contract as ThreadComm."""
-        hook = self._world.fault_hook
-        if hook is not None and hook(self._rank, **context):
-            raise RankFailure(f"rank {self._rank} killed by fault hook at {context!r}")
-
-    # Hub round-trips -------------------------------------------------------
 
     def _await_reply(self, op_desc: str) -> tuple[Any, ...]:
         """Block until the hub replies, for at most the world's timeout."""
@@ -272,7 +263,7 @@ class ProcessComm(Communicator):
                 f"rank {self._rank}: SPMD hub closed the channel during {op_desc}"
             ) from None
         if msg[0] == "abort":
-            raise RuntimeError(f"peer rank failed: {msg[1]}")
+            raise PeerRankFailed(f"peer rank failed: {msg[1]}")
         return msg
 
     def _to_hub(self, obj: Any) -> tuple[bytes, Spans, int]:
@@ -283,99 +274,15 @@ class ProcessComm(Communicator):
             data = pickle.dumps(obj, protocol=5)
         return data, spans, need
 
-    def _collective(self, op: str, contribution: Any, root: int | None, reduce_op: str | None):
+    def _collective(
+        self, op: str, contribution: Any, root: int | None, reduce_op: str | None
+    ) -> tuple[Any, float]:
         data, spans, need = self._to_hub(contribution)
         self._conn.send(("coll", op, root, reduce_op, data, spans, need, self._clock.t))
         _, data, spans, arrival_max, up, down = self._await_reply(op)
         self._up = _remap(self._up, up)
         self._down = _remap(self._down, down)
         return _decode(data, spans, self._down, copy=True), arrival_max
-
-    def _sync(self, arrival_max: float, op: str, nbytes: int) -> None:
-        self._clock.sync_to(arrival_max, op, nbytes, self.size)
-
-    # Collectives -----------------------------------------------------------
-
-    def barrier(self) -> None:
-        _, arrival = self._collective("barrier", None, None, None)
-        self._sync(arrival, "barrier", 0)
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        self._check_root(root)
-        result, arrival = self._collective("bcast", obj if self._rank == root else None, root, None)
-        self._sync(arrival, "bcast", payload_nbytes(result))
-        return result
-
-    def scatter(self, chunks: Sequence[Any] | None, root: int = 0) -> Any:
-        self._check_root(root)
-        if self._rank == root:
-            if chunks is None:
-                raise ValueError("root rank must supply chunks")
-            chunks = list(chunks)
-            if len(chunks) != self.size:
-                raise ValueError(f"scatter needs {self.size} chunks, got {len(chunks)}")
-        mine, arrival = self._collective(
-            "scatter", chunks if self._rank == root else None, root, None
-        )
-        self._sync(arrival, "scatter", payload_nbytes(mine))
-        return mine
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        self._check_root(root)
-        result, arrival = self._collective("gather", obj, root, None)
-        self._sync(arrival, "gather", payload_nbytes(obj))
-        return result
-
-    def allgather(self, obj: Any) -> list[Any]:
-        result, arrival = self._collective("allgather", obj, None, None)
-        self._sync(arrival, "allgather", payload_nbytes(obj))
-        return result
-
-    def reduce(self, obj: Any, op: str = "sum", root: int = 0) -> Any:
-        self._check_root(root)
-        from repro.parallel.comm import REDUCE_OPS
-
-        if op not in REDUCE_OPS:
-            raise ValueError(f"unknown reduce op {op!r}")
-        result, arrival = self._collective("reduce", obj, root, op)
-        self._sync(arrival, "reduce", payload_nbytes(obj))
-        return result
-
-    def allreduce(self, obj: Any, op: str = "sum") -> Any:
-        from repro.parallel.comm import REDUCE_OPS
-
-        if op not in REDUCE_OPS:
-            raise ValueError(f"unknown reduce op {op!r}")
-        result, arrival = self._collective("allreduce", obj, None, op)
-        self._sync(arrival, "allreduce", payload_nbytes(obj))
-        return result
-
-    def alltoall(self, chunks: Sequence[Any]) -> list[Any]:
-        chunks = list(chunks)
-        if len(chunks) != self.size:
-            raise ValueError(f"alltoall needs {self.size} chunks, got {len(chunks)}")
-        result, arrival = self._collective("alltoall", chunks, None, None)
-        self._sync(arrival, "alltoall", payload_nbytes(chunks))
-        return result
-
-    # Point-to-point --------------------------------------------------------
-
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        if not (0 <= dest < self.size):
-            raise ValueError(f"dest {dest} out of range")
-        if dest == self._rank:
-            raise ValueError("self-send would deadlock a blocking rendezvous")
-        self._clock.add_p2p(payload_nbytes(obj))
-        data = pickle.dumps(obj, protocol=5)
-        self._conn.send(("p2p_send", dest, tag, data, self._clock.t))
-
-    def recv(self, source: int, tag: int = 0) -> Any:
-        if not (0 <= source < self.size):
-            raise ValueError(f"source {source} out of range")
-        self._conn.send(("p2p_recv", source, tag))
-        _, data, sent_t = self._await_reply(f"recv(source={source}, tag={tag})")
-        self._clock.t = max(self._clock.t, sent_t)
-        return pickle.loads(data)
 
 
 def _worker_main(
@@ -418,7 +325,7 @@ def _worker_main(
 
 
 class _Hub:
-    """Parent event loop: collective assembly, p2p routing, death watch."""
+    """Parent event loop: collective assembly and death watch."""
 
     def __init__(
         self,
@@ -437,8 +344,6 @@ class _Hub:
         self.failure: BaseException | None = None
         self.failure_rank: int | None = None
         self._pending: dict[int, tuple[str, int | None, str | None, bytes, Spans, float]] = {}
-        self._recv_waiters: dict[int, tuple[int, int]] = {}
-        self._mailbox: dict[tuple[int, int, int], deque] = {}
         self._alive: set[int] = set(range(size))
         self._finished: set[int] = set()
         self._abort_deadline: float | None = None
@@ -480,39 +385,21 @@ class _Hub:
             return
         if self.failure is not None:
             return  # the run is going down; its payloads die with the arenas
-        if kind == "coll":
-            _, op, root, reduce_op, data, spans, need, t = msg
-            if need:
-                self.arenas.grow(self.arenas.up, rank, need)
-            self._pending[rank] = (op, root, reduce_op, data, spans, t)
-            if len(self._pending) == self.world.size:
-                self._complete_collective()
-            else:
-                self._check_stranded_collective()
-            return
-        if kind == "p2p_send":
-            _, dest, tag, data, sent_t = msg
-            if self._recv_waiters.get(dest) == (rank, tag):
-                del self._recv_waiters[dest]
-                self._reply(dest, ("p2p", data, sent_t))
-            else:
-                self._mailbox.setdefault((rank, dest, tag), deque()).append((data, sent_t))
-            return
-        if kind == "p2p_recv":
-            _, source, tag = msg
-            box = self._mailbox.get((source, rank, tag))
-            if box:
-                data, sent_t = box.popleft()
-                self._reply(rank, ("p2p", data, sent_t))
-            else:
-                self._recv_waiters[rank] = (source, tag)
-            return
-        raise AssertionError(f"unknown hub message {kind!r} from rank {rank}")
+        if kind != "coll":
+            raise AssertionError(f"unknown hub message {kind!r} from rank {rank}")
+        _, op, root, reduce_op, data, spans, need, t = msg
+        if need:
+            self.arenas.grow(self.arenas.up, rank, need)
+        self._pending[rank] = (op, root, reduce_op, data, spans, t)
+        if len(self._pending) == self.world.size:
+            self._complete_collective()
+        else:
+            self._check_stranded_collective()
 
     @staticmethod
     def _is_secondary(exc: BaseException) -> bool:
         """Peers dying from an abort must not mask the originating failure."""
-        return isinstance(exc, RuntimeError) and str(exc).startswith("peer rank failed")
+        return isinstance(exc, PeerRankFailed)
 
     def _reply(self, rank: int, msg: tuple) -> None:
         try:
@@ -551,7 +438,11 @@ class _Hub:
             return
         op, root, reduce_op = entries[0][:3]
         try:
-            results = self._collective_results(op, root, reduce_op, entries)
+            # from zero-copy views of the payloads in the up arenas
+            results = collective_results(op, root, reduce_op, [
+                _decode(data, spans, self.arenas.up[r], copy=False)
+                for r, (_, _, _, data, spans, _) in enumerate(entries)
+            ])
         except Exception as exc:
             # Its frames hold views into the up arenas; the failure outlives them.
             traceback.clear_frames(exc.__traceback__)
@@ -569,38 +460,6 @@ class _Hub:
         # Every result is in a down arena now, so ranks may refill their up arenas.
         for r in range(size):
             self._reply(r, replies[r])
-
-    def _collective_results(
-        self, op: str, root: int | None, reduce_op: str | None, entries: list[tuple]
-    ) -> list[Any]:
-        """Each rank's result, computed from zero-copy views of the payloads
-        in the up arenas; results may alias those views."""
-        size = self.world.size
-        slots = [
-            _decode(data, spans, self.arenas.up[r], copy=False)
-            for r, (_, _, _, data, spans, _) in enumerate(entries)
-        ]
-        if op == "barrier":
-            return [None] * size
-        if op == "bcast":
-            return [slots[root]] * size
-        if op == "scatter":
-            chunks = slots[root]
-            if chunks is None or len(chunks) != size:
-                raise RuntimeError("scatter root supplied no/mis-sized chunk list")
-            return list(chunks)
-        if op == "gather":
-            return [list(slots) if r == root else None for r in range(size)]
-        if op == "allgather":
-            return [list(slots)] * size
-        if op in ("reduce", "allreduce"):
-            reduced = reduce_many(slots, reduce_op)
-            if op == "reduce":
-                return [reduced if r == root else None for r in range(size)]
-            return [reduced] * size
-        if op == "alltoall":
-            return [[slots[src][r] for src in range(size)] for r in range(size)]
-        raise RuntimeError(f"unknown collective {op!r}")
 
     # Event loop ------------------------------------------------------------
 

@@ -69,7 +69,7 @@ def run_spmd(
 
     ``fault_hook(rank, **context) -> bool`` arms fault injection: ranks that
     call :meth:`~repro.parallel.comm.Communicator.maybe_fail` die with
-    :class:`~repro.parallel.threadcomm.RankFailure` when the hook returns
+    :class:`~repro.parallel.comm.RankFailure` when the hook returns
     True.  Serial runs ignore the hook — a single producer has no peers to
     survive it.
 

@@ -1,10 +1,12 @@
 """Thread-backed SPMD communicator with correct collective semantics.
 
-Every rank is a real OS thread; collectives rendezvous through a shared slot
-array guarded by two barrier crossings (write → read → release), so ordering
-and blocking behaviour match MPI.  Received numpy arrays are copied, matching
-mpi4py's value semantics — a rank mutating what it received must not corrupt
-its peers.
+Every rank is a real OS thread; a collective rendezvouses through a shared
+slot array guarded by two barrier crossings (write → read → release), so
+ordering and blocking behaviour match MPI.  Between the crossings each rank
+takes its result from :func:`~repro.parallel.comm.collective_results` and
+copies every array in it that it did not contribute, matching mpi4py's
+value semantics — a rank mutating what it received must not corrupt its
+peers.
 
 Alongside the real data exchange, every collective advances each rank's
 :class:`~repro.parallel.perfmodel.VirtualClock` to
@@ -12,43 +14,41 @@ Alongside the real data exchange, every collective advances each rank's
 meaningful even though the host serializes threads through the GIL.
 
 For fault-tolerance testing a :class:`CommWorld` can carry a *fault hook*:
-long-running rank loops call :meth:`ThreadComm.maybe_fail` at convenient
-checkpoints, and when the hook fires the rank dies with :class:`RankFailure`
-— the injected equivalent of a node loss mid-computation.  Callers that can
-recover a partial result (e.g. the partial-stream merge in
-:mod:`repro.sampling.streaming`) catch it; everything else propagates it
-like any rank error.
+long-running rank loops call :meth:`~repro.parallel.comm.Communicator.maybe_fail`
+at convenient checkpoints, and when the hook fires the rank dies with
+:class:`~repro.parallel.comm.RankFailure` — the injected equivalent of a
+node loss mid-computation.  Callers that can recover a partial result (e.g.
+the partial-stream merge in :mod:`repro.sampling.streaming`) catch it;
+everything else propagates it like any rank error.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import Any
 
 import numpy as np
 
-from repro.parallel.comm import Communicator, payload_nbytes
+from repro.parallel.comm import Communicator, PeerRankFailed, collective_results
 from repro.parallel.perfmodel import PerfModel, VirtualClock
 
-__all__ = ["ThreadComm", "CommWorld", "RankFailure"]
+__all__ = ["ThreadComm", "CommWorld"]
 
 
-class RankFailure(RuntimeError):
-    """A rank died mid-computation (raised by an armed fault hook)."""
-
-
-def _copy_arrays(obj: Any) -> Any:
-    """Copy numpy arrays inside common containers (value semantics on recv)."""
+def _private(obj: Any, own: Any) -> Any:
+    """`obj` with every array in it copied, except this rank's `own`
+    contribution."""
+    if obj is own:
+        return obj
     if isinstance(obj, np.ndarray):
         return obj.copy()
     if isinstance(obj, list):
-        return [_copy_arrays(x) for x in obj]
+        return [_private(x, own) for x in obj]
     if isinstance(obj, tuple):
-        return tuple(_copy_arrays(x) for x in obj)
+        return tuple(_private(x, own) for x in obj)
     if isinstance(obj, dict):
-        return {k: _copy_arrays(v) for k, v in obj.items()}
+        return {k: _private(v, own) for k, v in obj.items()}
     return obj
 
 
@@ -65,23 +65,11 @@ class CommWorld:
             raise ValueError("size must be >= 1")
         self.size = size
         self.model = model or PerfModel()
-        #: ``fault_hook(rank, **context) -> bool`` — True kills the calling
-        #: rank at its next :meth:`ThreadComm.maybe_fail` checkpoint.
         self.fault_hook = fault_hook
         self.barrier = threading.Barrier(size)
         self.slots: list[Any] = [None] * size
         self.arrivals: list[float] = [0.0] * size
-        self._queues: dict[tuple[int, int, int], queue.Queue] = {}
-        self._queues_lock = threading.Lock()
         self.failure: BaseException | None = None
-
-    def queue_for(self, src: int, dst: int, tag: int) -> queue.Queue:
-        key = (src, dst, tag)
-        with self._queues_lock:
-            q = self._queues.get(key)
-            if q is None:
-                q = self._queues[key] = queue.Queue()
-            return q
 
     def abort(self, exc: BaseException) -> None:
         """Record a rank failure and break the barrier so peers unblock."""
@@ -101,6 +89,7 @@ class ThreadComm(Communicator):
         self._world = world
         self._rank = rank
         self._clock = VirtualClock(model=world.model)
+        self._fault_hook = world.fault_hook
 
     @property
     def rank(self) -> int:
@@ -114,128 +103,27 @@ class ThreadComm(Communicator):
     def clock(self) -> VirtualClock:
         return self._clock
 
-    def maybe_fail(self, **context: Any) -> None:
-        """Fault-injection checkpoint: die if the world's hook says so.
-
-        Long-running rank loops call this at natural progress boundaries
-        (e.g. once per streamed chunk) with whatever `context` describes the
-        progress — the hook receives ``(rank, **context)`` and returning
-        True raises :class:`RankFailure` on this rank.  No-op without a
-        hook, so production paths pay one attribute check.
-        """
-        hook = self._world.fault_hook
-        if hook is not None and hook(self._rank, **context):
-            raise RankFailure(
-                f"rank {self._rank} killed by fault hook at {context!r}"
-            )
-
-    # Rendezvous machinery -----------------------------------------------------
-
     def _wait(self) -> None:
         try:
             self._world.barrier.wait(timeout=self.TIMEOUT)
         except threading.BrokenBarrierError:
             if self._world.failure is not None:
-                raise RuntimeError(
+                raise PeerRankFailed(
                     f"peer rank failed: {self._world.failure!r}"
                 ) from self._world.failure
             raise
 
-    def _exchange(self, contribution: Any) -> tuple[list[Any], float]:
-        """All ranks deposit a contribution; returns (slots snapshot, max arrival)."""
+    def _collective(
+        self, op: str, contribution: Any, root: int | None, reduce_op: str | None
+    ) -> tuple[Any, float]:
         w = self._world
         w.slots[self._rank] = contribution
         w.arrivals[self._rank] = self._clock.t
         self._wait()
-        snapshot = list(w.slots)
+        # Read the slots before the second crossing: after it, peers may
+        # refill them or mutate what they contributed.
+        result = collective_results(op, root, reduce_op, w.slots)[self._rank]
+        result = _private(result, contribution)
         arrival_max = max(w.arrivals)
         self._wait()
-        return snapshot, arrival_max
-
-    def _sync(self, arrival_max: float, op: str, nbytes: int) -> None:
-        self._clock.sync_to(arrival_max, op, nbytes, self.size)
-
-    # Collectives ----------------------------------------------------------------
-
-    def barrier(self) -> None:
-        _, arrival = self._exchange(None)
-        self._sync(arrival, "barrier", 0)
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        self._check_root(root)
-        slots, arrival = self._exchange(obj if self._rank == root else None)
-        payload = slots[root]
-        self._sync(arrival, "bcast", payload_nbytes(payload))
-        return payload if self._rank == root else _copy_arrays(payload)
-
-    def scatter(self, chunks: Sequence[Any] | None, root: int = 0) -> Any:
-        self._check_root(root)
-        if self._rank == root:
-            if chunks is None:
-                raise ValueError("root rank must supply chunks")
-            chunks = list(chunks)
-            if len(chunks) != self.size:
-                raise ValueError(f"scatter needs {self.size} chunks, got {len(chunks)}")
-        slots, arrival = self._exchange(chunks if self._rank == root else None)
-        mine = slots[root][self._rank]
-        self._sync(arrival, "scatter", payload_nbytes(mine))
-        return mine if self._rank == root else _copy_arrays(mine)
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        self._check_root(root)
-        slots, arrival = self._exchange(obj)
-        self._sync(arrival, "gather", payload_nbytes(obj))
-        if self._rank == root:
-            return [s if i == root else _copy_arrays(s) for i, s in enumerate(slots)]
-        return None
-
-    def allgather(self, obj: Any) -> list[Any]:
-        slots, arrival = self._exchange(obj)
-        self._sync(arrival, "allgather", payload_nbytes(obj))
-        return [s if i == self._rank else _copy_arrays(s) for i, s in enumerate(slots)]
-
-    def reduce(self, obj: Any, op: str = "sum", root: int = 0) -> Any:
-        self._check_root(root)
-        slots, arrival = self._exchange(obj)
-        self._sync(arrival, "reduce", payload_nbytes(obj))
-        if self._rank == root:
-            return self._reduce_many(slots, op)
-        return None
-
-    def allreduce(self, obj: Any, op: str = "sum") -> Any:
-        slots, arrival = self._exchange(obj)
-        self._sync(arrival, "allreduce", payload_nbytes(obj))
-        return self._reduce_many(slots, op)
-
-    def alltoall(self, chunks: Sequence[Any]) -> list[Any]:
-        chunks = list(chunks)
-        if len(chunks) != self.size:
-            raise ValueError(f"alltoall needs {self.size} chunks, got {len(chunks)}")
-        slots, arrival = self._exchange(chunks)
-        self._sync(arrival, "alltoall", payload_nbytes(chunks))
-        return [
-            slots[src][self._rank] if src == self._rank else _copy_arrays(slots[src][self._rank])
-            for src in range(self.size)
-        ]
-
-    # Point-to-point ---------------------------------------------------------------
-
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        if not (0 <= dest < self.size):
-            raise ValueError(f"dest {dest} out of range")
-        if dest == self._rank:
-            raise ValueError("self-send would deadlock a blocking rendezvous")
-        self._clock.add_p2p(payload_nbytes(obj))
-        self._world.queue_for(self._rank, dest, tag).put((obj, self._clock.t))
-
-    def recv(self, source: int, tag: int = 0) -> Any:
-        if not (0 <= source < self.size):
-            raise ValueError(f"source {source} out of range")
-        q = self._world.queue_for(source, self._rank, tag)
-        try:
-            obj, sent_t = q.get(timeout=self.TIMEOUT)
-        except queue.Empty:
-            raise RuntimeError(f"recv timed out waiting on rank {source} tag {tag}") from None
-        # Message is available no earlier than the sender finished sending it.
-        self._clock.t = max(self._clock.t, sent_t)
-        return _copy_arrays(obj)
+        return result, arrival_max

@@ -59,9 +59,8 @@ from repro.data.hypercubes import Hypercube, extract_hypercube, hypercube_origin
 from repro.data.points import PointSet
 from repro.data.sources import SnapshotSource, open_source
 from repro.energy.meter import EnergyMeter
-from repro.parallel.comm import Communicator
+from repro.parallel.comm import Communicator, RankFailure
 from repro.parallel.partition import ProducerReport, block_bounds, stream_partitions
-from repro.parallel.threadcomm import RankFailure
 from repro.sampling.base import Sampler, StreamSampler, get_sampler, get_stream_sampler
 from repro.sampling.entropy import check_bin_count, cube_moments, group_distributions
 from repro.sampling.selectors import get_selector

@@ -289,15 +289,15 @@ class TestStoredMembers:
         methods = member_methods(get_codec("npz").shard_path(deflated_dir, 0))
         assert methods.pop("der_pv.npy") == zipfile.ZIP_STORED
         assert set(methods.values()) == {zipfile.ZIP_DEFLATED}
-        for lazy in (True, False):
-            src = ShardDirSource(deflated_dir, lazy=lazy)
-            for i, want in enumerate(sst.snapshots):
-                got = src.snapshot(i)
+        src = ShardDirSource(deflated_dir)
+        for i, want in enumerate(sst.snapshots):
+            for how, got in (("lazy", src.snapshot(i)),
+                             ("decode", src.codec.decode(deflated_dir, i))):
                 assert got.time == want.time and got.meta == want.meta
                 assert list(got.variables) == list(want.variables)
                 for name, arr in want.variables.items():
-                    assert same_bytes(got.variables[name], arr), (lazy, i, name)
-                assert same_bytes(got.get("pv"), derive(want)), (lazy, i)
+                    assert same_bytes(got.variables[name], arr), (how, i, name)
+                assert same_bytes(got.get("pv"), derive(want)), (how, i)
 
 
 class TestStreamGolden:
@@ -360,7 +360,7 @@ class TestStreamGolden:
 class TestLazyMappingSemantics:
     @pytest.mark.parametrize("codec", ("raw", "chunked"))
     def test_lazy_members_are_a_real_mapping(self, sst, codec_dirs, codec):
-        snap = ShardDirSource(codec_dirs[codec], lazy=True).snapshot(0)
+        snap = ShardDirSource(codec_dirs[codec]).snapshot(0)
         assert snap.decoded_members() == []
         assert snap.grid_shape == sst.grid_shape  # metadata only, no decode
         assert snap.decoded_members() == []
@@ -375,8 +375,8 @@ class TestLazyMappingSemantics:
 
     @pytest.mark.parametrize("codec", ("raw", "chunked"))
     def test_lazy_nbytes_is_header_only(self, codec_dirs, codec):
-        lazy = ShardDirSource(codec_dirs[codec], lazy=True).snapshot(0)
-        eager = ShardDirSource(codec_dirs[codec], lazy=False).snapshot(0)
+        lazy = ShardDirSource(codec_dirs[codec]).snapshot(0)
+        eager = get_codec(codec).decode(codec_dirs[codec], 0)
         assert lazy.nbytes() == eager.nbytes()
         assert lazy.decoded_members() == []
 
@@ -384,7 +384,7 @@ class TestLazyMappingSemantics:
     def test_derived_variables_compose_with_lazy_members(
         self, sst, codec_dirs, codec
     ):
-        snap = ShardDirSource(codec_dirs[codec], lazy=True).snapshot(0)
+        snap = ShardDirSource(codec_dirs[codec]).snapshot(0)
         assert np.allclose(snap.get("pv"), sst.snapshots[0].get("pv"))
 
 
@@ -413,13 +413,17 @@ class TestPersistedDerived:
     def test_variables_nbytes_and_round_trip_unchanged(
         self, sst, codec_dirs, legacy_dirs, codec, tmp_path
     ):
-        for lazy in (True, False):
-            new = ShardDirSource(codec_dirs[codec], lazy=lazy)
-            old = ShardDirSource(legacy_dirs[codec], lazy=lazy)
-            assert list(new.snapshot(0).variables) == list(old.snapshot(0).variables)
-            assert "pv" not in new.snapshot(0).variables
-            assert new.snapshot(0).nbytes() == old.snapshot(0).nbytes()
-            assert new.nbytes() == old.nbytes()
+        new = ShardDirSource(codec_dirs[codec])
+        old = ShardDirSource(legacy_dirs[codec])
+        c = get_codec(codec)
+        for new_snap, old_snap in (
+            (new.snapshot(0), old.snapshot(0)),
+            (c.decode(codec_dirs[codec], 0), c.decode(legacy_dirs[codec], 0)),
+        ):
+            assert list(new_snap.variables) == list(old_snap.variables)
+            assert "pv" not in new_snap.variables
+            assert new_snap.nbytes() == old_snap.nbytes()
+        assert new.nbytes() == old.nbytes()
         # save -> load -> save -> load keeps stored and derived values
         loaded = load_dataset("sst-binary", path=codec_dirs[codec])
         save_dataset(loaded, str(tmp_path), codec=codec)

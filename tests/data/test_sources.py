@@ -212,7 +212,7 @@ class TestShardedPrefetch:
 
 class TestLazyDecode:
     def test_lazy_field_decodes_members_on_demand(self, shard_dir, sst):
-        src = ShardDirSource(shard_dir, max_cached=2, lazy=True)
+        src = ShardDirSource(shard_dir, max_cached=2)
         snap = src.snapshot(0)
         assert snap.decoded_members() == []
         assert snap.grid_shape == sst.grid_shape  # header-only, no decode
@@ -227,7 +227,7 @@ class TestLazyDecode:
     def test_lazy_mapping_semantics(self, shard_dir, sst):
         """Regression: generic mapping idioms (get / dict(...) / **) must
         decode, never silently return None or a truncated member set."""
-        snap = ShardDirSource(shard_dir, lazy=True).snapshot(0)
+        snap = ShardDirSource(shard_dir).snapshot(0)
         assert snap.variables.get("u") is not None
         assert snap.variables.get("not-a-var", "sentinel") == "sentinel"
         full = dict(snap.variables)
@@ -237,19 +237,15 @@ class TestLazyDecode:
     def test_lazy_derived_variables_compose(self, shard_dir, sst):
         """pv derives from u/v/w/r — lazy members must feed the derived
         registry exactly like eager ones."""
-        snap = ShardDirSource(shard_dir, lazy=True).snapshot(0)
+        snap = ShardDirSource(shard_dir).snapshot(0)
         assert np.allclose(snap.get("pv"), sst.snapshots[0].get("pv"))
 
     def test_lazy_nbytes_matches_eager(self, shard_dir):
-        lazy = ShardDirSource(shard_dir, lazy=True).snapshot(0)
-        eager = ShardDirSource(shard_dir, lazy=False).snapshot(0)
+        src = ShardDirSource(shard_dir)
+        lazy = src.snapshot(0)
+        eager = src.codec.decode(shard_dir, 0)
         assert lazy.nbytes() == eager.nbytes()
         assert lazy.decoded_members() == []  # estimate came from headers
-
-    def test_eager_mode_still_available(self, shard_dir, sst):
-        snap = ShardDirSource(shard_dir, lazy=False).snapshot(0)
-        assert not hasattr(snap, "decoded_members")
-        assert np.array_equal(snap.get("u"), sst.snapshots[0].get("u"))
 
 
 class TestPartitionedSource:
@@ -524,11 +520,10 @@ class TestOpenSource:
             src.close()
 
     def test_knobs_reach_the_source(self, shard_dir):
-        src = open_source(shard_dir, max_cached=5, prefetch=1, lazy=False)
+        src = open_source(shard_dir, max_cached=5, prefetch=1)
         try:
             assert src.max_cached == 5
             assert src.prefetch_depth == 1
-            assert src.lazy is False
         finally:
             src.close()
 

@@ -104,13 +104,11 @@ def test_registered_classes_are_instrumented(sanitizer):
         ShardDirSource,
         SimulationSource,
     )
-    from repro.parallel.threadcomm import CommWorld
 
     for cls, attr in (
         (ShardDirSource, "_cache"),
         (RemoteTieredSource, "_staged"),
         (SimulationSource, "_cache"),
-        (CommWorld, "_queues"),
     ):
         assert type(cls.__dict__[attr]).__name__ == "_GuardedAttr"
     # a subclass inherits the instrumentation

@@ -67,6 +67,11 @@ class TestLinear:
         with pytest.raises(ValueError):
             Linear(5, 3, rng=RNG)(Tensor(np.zeros((2, 4))))
 
+    def test_1d_input_rejected_at_the_forward(self):
+        """A (3,) input would run forward and die in the backward."""
+        with pytest.raises(ValueError, match=r"got shape \(3,\)"):
+            Linear(3, 2, rng=RNG)(Tensor(np.zeros(3), requires_grad=True))
+
     def test_gradcheck_through_layer(self):
         lin = Linear(4, 2, rng=np.random.default_rng(4))
         x = RNG.standard_normal((3, 4))

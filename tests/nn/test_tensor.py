@@ -137,6 +137,13 @@ class TestMatmulSoftmax:
         w = Tensor(RNG.standard_normal((2, 4, 5)))
         gradcheck(lambda t: ((t @ w) ** 2).sum(), x)
 
+    @pytest.mark.parametrize("a_shape,b_shape", [((4,), (4, 2)), ((3, 4), (4,)), ((4,), (4,))])
+    def test_matmul_rejects_1d_operands(self, a_shape, b_shape):
+        """A 1-D operand would run forward and die in the backward."""
+        a = Tensor(np.ones(a_shape), requires_grad=True)
+        with pytest.raises(ValueError, match=r"matmul needs operands of 2 or more dims"):
+            a @ Tensor(np.ones(b_shape), requires_grad=True)
+
     def test_matmul_broadcast_weight_grad(self):
         """Batched x against unbatched w: w's grad must sum over the batch."""
         x = Tensor(RNG.standard_normal((2, 3, 4)))

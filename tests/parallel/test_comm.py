@@ -1,7 +1,8 @@
 """Collective-semantics tests for the simulated MPI runtime.
 
-Every collective is exercised on the serial communicator and — through one
-shared parameterization — on both SPMD substrates: the threaded backend
+Every collective (``bcast``, ``gather``, ``allreduce``) is exercised on the
+serial communicator and — through one shared parameterization — on both
+SPMD substrates: the threaded backend
 (2-8 ranks so real interleavings occur) and the forked-process backend
 (shared-memory transport).  The same programs must produce the same values,
 clocks, and failure surfaces on either, which is the backend-conformance
@@ -11,7 +12,7 @@ contract ``run_spmd(backend=...)`` promises.
 import numpy as np
 import pytest
 
-from repro.parallel import SerialComm, run_spmd
+from repro.parallel import PeerRankFailed, SerialComm, run_spmd
 from repro.parallel.comm import payload_nbytes
 
 # (backend, nranks) grid shared by every conformance class below.  The
@@ -33,19 +34,14 @@ class TestSerialComm:
         assert comm.rank == 0 and comm.size == 1
         assert comm.bcast(42) == 42
         assert comm.gather("x") == ["x"]
-        assert comm.allgather(3) == [3]
         assert comm.allreduce(5) == 5
-        assert comm.scatter([7]) == 7
-        assert comm.alltoall([1]) == [1]
-        comm.barrier()
+        # a one-rank collective moves nothing and charges nothing
+        assert comm.clock.t == 0.0
+        assert (comm.clock.stats.collectives, comm.clock.stats.bytes_sent) == (0, 0)
 
-    def test_scatter_needs_exactly_one_chunk(self):
-        with pytest.raises(ValueError):
-            SerialComm().scatter([1, 2])
-
-    def test_send_recv_unavailable(self):
-        with pytest.raises(RuntimeError):
-            SerialComm().send(1, dest=0)
+    def test_bad_root_rejected(self):
+        with pytest.raises(ValueError, match="root 1 out of range"):
+            SerialComm().gather("x", root=1)
 
     def test_reduce_ops(self):
         comm = SerialComm()
@@ -71,31 +67,35 @@ class TestCollectives:
             out = comm.bcast(data, root=0)
             if comm.rank == 1:
                 out += 99  # must not corrupt peers
-            comm.barrier()
+            comm.bcast(None)  # the root reads only after rank 1 wrote
             return float(out.sum())
 
         res = run_spmd(prog, nranks, backend=backend)
         assert res.values[0] == 0.0
 
-    def test_scatter_gather_roundtrip(self, backend, nranks):
+    def test_gather_to_root(self, backend, nranks):
         def prog(comm):
-            chunks = [np.full(2, r) for r in range(comm.size)] if comm.rank == 0 else None
-            mine = comm.scatter(chunks, root=0)
-            assert np.all(mine == comm.rank)
-            gathered = comm.gather(mine * 2, root=0)
-            if comm.rank == 0:
+            gathered = comm.gather(np.full(2, comm.rank) * 2, root=1)
+            if comm.rank == 1:
                 return [g.tolist() for g in gathered]
             assert gathered is None
             return None
 
         res = run_spmd(prog, nranks, backend=backend)
-        assert res.values[0] == [[2 * r, 2 * r] for r in range(nranks)]
+        assert res.values[1] == [[2 * r, 2 * r] for r in range(nranks)]
 
-    def test_allgather(self, backend, nranks):
-        res = run_spmd(lambda comm: comm.allgather(comm.rank**2), nranks,
-                       backend=backend)
-        expected = [r**2 for r in range(nranks)]
-        assert all(v == expected for v in res.values)
+    def test_gathered_arrays_are_private(self, backend, nranks):
+        def prog(comm):
+            mine = np.full(3, float(comm.rank))
+            gathered = comm.gather(mine, root=0)
+            if comm.rank == 0:
+                for g in gathered:
+                    g += 100.0  # must not corrupt the peers' arrays
+            comm.bcast(None)  # peers read only after the root wrote
+            return float(mine[0])
+
+        res = run_spmd(prog, nranks, backend=backend)
+        assert res.values[1:] == [float(r) for r in range(1, nranks)]
 
     def test_allreduce_sum_array(self, backend, nranks):
         def prog(comm):
@@ -113,42 +113,19 @@ class TestCollectives:
         )
         assert all(v == (0, nranks - 1) for v in res.values)
 
-    def test_reduce_root_only(self, backend, nranks):
-        res = run_spmd(lambda c: c.reduce(1, op="sum", root=0), nranks,
-                       backend=backend)
-        assert res.values[0] == nranks
-        assert all(v is None for v in res.values[1:])
-
-    def test_alltoall(self, backend, nranks):
-        def prog(comm):
-            out = comm.alltoall([100 * comm.rank + dst for dst in range(comm.size)])
-            return out
-
-        res = run_spmd(prog, nranks, backend=backend)
-        for dst, received in enumerate(res.values):
-            assert received == [100 * src + dst for src in range(nranks)]
-
-    def test_send_recv_ring(self, backend, nranks):
-        def prog(comm):
-            right = (comm.rank + 1) % comm.size
-            left = (comm.rank - 1) % comm.size
-            comm.send(np.array([comm.rank]), dest=right, tag=5)
-            got = comm.recv(source=left, tag=5)
-            return int(got[0])
-
-        res = run_spmd(prog, nranks, backend=backend)
-        assert res.values == [(r - 1) % nranks for r in range(nranks)]
-
     def test_sequential_collectives_do_not_cross(self, backend, nranks):
         """Values from one collective must never bleed into the next."""
 
         def prog(comm):
-            a = comm.allgather(("first", comm.rank))
-            b = comm.allgather(("second", comm.rank))
-            return a[0][0], b[0][0]
+            a = comm.gather(("first", comm.rank), root=0)
+            b = comm.gather(("second", comm.rank), root=0)
+            c = comm.bcast("third" if comm.rank == 0 else None)
+            return a, b, c
 
         res = run_spmd(prog, nranks, backend=backend)
-        assert all(v == ("first", "second") for v in res.values)
+        assert res.values[0] == ([("first", r) for r in range(nranks)],
+                                 [("second", r) for r in range(nranks)], "third")
+        assert all(v == (None, None, "third") for v in res.values[1:])
 
     def test_empty_partition_rank(self, backend, nranks):
         """Ranks whose block partition is empty still join every collective."""
@@ -159,13 +136,11 @@ class TestCollectives:
             lo, hi = block_bounds(1, comm.size, comm.rank)  # 1 item, n ranks
             local = np.arange(lo, hi, dtype=np.float64)  # empty on most ranks
             total = comm.allreduce(float(local.sum()), op="sum")
-            counts = comm.allgather(len(local))
-            return total, counts
+            count = comm.allreduce(len(local))
+            return total, count
 
         res = run_spmd(prog, nranks, backend=backend)
-        for total, counts in res.values:
-            assert total == 0.0
-            assert sum(counts) == 1
+        assert res.values == [(0.0, 1)] * nranks
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -174,7 +149,7 @@ class TestErrorPropagation:
         def prog(comm):
             if comm.rank == 1:
                 raise ValueError("boom")
-            comm.barrier()
+            comm.bcast(None)
 
         with pytest.raises(RuntimeError, match="rank 1 failed"):
             run_spmd(prog, 3, backend=backend)
@@ -183,13 +158,52 @@ class TestErrorPropagation:
         with pytest.raises(RuntimeError):
             run_spmd(lambda c: c.bcast(1, root=99), 2, backend=backend)
 
-    def test_scatter_wrong_chunk_count(self, backend):
-        def prog(comm):
-            chunks = [1] if comm.rank == 0 else None
-            return comm.scatter(chunks, root=0)
+    def test_unknown_reduce_op_rejected(self, backend):
+        with pytest.raises(RuntimeError) as excinfo:
+            run_spmd(lambda c: c.allreduce(1, op="prod"), 2, backend=backend)
+        assert "unknown reduce op 'prod'" in str(excinfo.value.__cause__)
 
-        with pytest.raises(RuntimeError):
-            run_spmd(prog, 3, backend=backend)
+    def test_own_error_with_peer_failure_text_is_not_secondary(self, backend):
+        """A rank's own error is the failure, whatever its text says."""
+
+        def prog(comm):
+            if comm.rank == 1:
+                raise RuntimeError("peer rank failed: my own error text")
+            return "rank0-done"
+
+        with pytest.raises(RuntimeError, match="rank 1 failed") as excinfo:
+            run_spmd(prog, 2, backend=backend)
+        assert str(excinfo.value.__cause__) == "peer rank failed: my own error text"
+
+    def test_peer_waiting_in_collective_reports_the_own_error(self, backend):
+        def prog(comm):
+            if comm.rank == 1:
+                raise RuntimeError("peer rank failed: my own error text")
+            return comm.allreduce(1)
+
+        with pytest.raises(RuntimeError, match="rank 1 failed") as excinfo:
+            run_spmd(prog, 2, backend=backend)
+        cause = excinfo.value.__cause__
+        assert not isinstance(cause, PeerRankFailed)
+        assert str(cause) == "peer rank failed: my own error text"
+
+    def test_waiting_peer_raises_peer_rank_failed(self, backend, tmp_path):
+        """The rank left waiting dies of PeerRankFailed, with the same text
+        on both backends; the run reports the rank that failed first."""
+
+        def prog(comm):
+            if comm.rank == 1:
+                raise ValueError("boom")
+            try:
+                comm.bcast(None)
+            except PeerRankFailed as exc:
+                (tmp_path / "rank0").write_text(str(exc))
+                raise
+
+        with pytest.raises(RuntimeError, match="rank 1 failed") as excinfo:
+            run_spmd(prog, 2, backend=backend)
+        assert isinstance(excinfo.value.__cause__, ValueError)
+        assert (tmp_path / "rank0").read_text() == "peer rank failed: ValueError('boom')"
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -207,7 +221,7 @@ class TestVirtualTime:
     def test_collective_synchronizes_clocks(self, backend):
         def prog(comm):
             comm.account_compute(1.0e6 * (comm.rank + 1))  # rank 1 is slower
-            comm.barrier()
+            comm.bcast(None)
             return comm.clock.t
 
         res = run_spmd(prog, 2, backend=backend)
@@ -221,14 +235,15 @@ class TestVirtualTime:
 
     def test_stats_counted(self, backend):
         def prog(comm):
-            comm.barrier()
+            comm.bcast(np.zeros(4), root=1)
+            comm.gather(comm.rank, root=0)
             comm.allreduce(1.0)
             return comm.clock.stats
 
         res = run_spmd(prog, 2, backend=backend)
         for stats in res.values:
-            assert stats.barriers == 1
-            assert stats.collectives == 1
+            assert stats.collectives == 3
+            assert stats.bytes_sent == 32 + 8 + 8
 
 
 class TestBackendParity:
@@ -239,8 +254,8 @@ class TestBackendParity:
             comm.account_compute(1.0e6 * (comm.rank + 1))
             comm.bcast(np.arange(1000, dtype=np.float64), root=0)
             comm.allreduce(np.full(200, comm.rank + 0.5), op="sum")
-            comm.alltoall([np.full(3, comm.rank * 10 + d) for d in range(comm.size)])
-            comm.barrier()
+            comm.gather([np.full(3, comm.rank * 10 + d) for d in range(comm.size)], root=2)
+            comm.bcast(None)
             return comm.clock.t, comm.clock.stats
 
         a = run_spmd(prog, 3, backend="thread")
@@ -248,7 +263,6 @@ class TestBackendParity:
         for (ta, sa), (tb, sb) in zip(a.values, b.values):
             assert ta == tb  # exact, not approx: same float ops in same order
             assert sa.collectives == sb.collectives
-            assert sa.barriers == sb.barriers
             assert sa.bytes_sent == sb.bytes_sent
         assert a.virtual_time == b.virtual_time
 

@@ -80,7 +80,7 @@ class TestShmTransport:
 
         def prog(comm):
             big = np.full(50_000, float(comm.rank))  # 400 KB > threshold
-            got = comm.allgather(big)
+            got = comm.bcast(comm.gather(big, root=0), root=0)
             return [float(g[0]) for g in got]
 
         assert 50_000 * 8 > SHM_THRESHOLD
@@ -125,7 +125,7 @@ class TestArenas:
             ok = []
             for i, nbytes in enumerate(sizes):
                 mine = contribution(comm.rank, i, nbytes)
-                got = comm.allgather(mine)
+                got = comm.bcast(comm.gather(mine, root=1), root=1)
                 summed = comm.allreduce(mine)
                 want = [contribution(r, i, nbytes) for r in range(comm.size)]
                 ok.append(all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
@@ -149,14 +149,15 @@ class TestArenas:
         def prog(comm):
             for i in range(rounds):
                 want = [payload(r, i) for r in range(comm.size)]
-                mine = want[comm.rank]
+                mine, root = want[comm.rank], i % comm.size
                 if i % 3 == 0:
-                    got, expect = comm.allgather(mine), want
+                    got = comm.gather(mine, root=root) or []
+                    expect = want if comm.rank == root else []
                 elif i % 3 == 1:
                     got, expect = [comm.allreduce(mine)], [reduce_many(want, "sum")]
                 else:
-                    got = comm.alltoall([mine * (dest + 1) for dest in range(comm.size)])
-                    expect = [w * (comm.rank + 1) for w in want]
+                    got = [comm.bcast(mine * 2 if comm.rank == root else None, root=root)]
+                    expect = [want[root] * 2]
                 if [g.tobytes() for g in got] != [e.tobytes() for e in expect]:
                     return i
             return None
@@ -170,10 +171,10 @@ class TestArenas:
 
         def prog(comm):
             mine = np.full(50_000, float(comm.rank))
-            first = comm.allgather(mine)
+            first = comm.bcast(comm.gather(mine, root=0), root=0)
             for got in first:
                 got += 100.0
-            second = comm.allgather(mine)
+            second = comm.bcast(comm.gather(mine, root=0), root=0)
             return float(mine[0]), [float(g[0]) for g in first], [float(g[0]) for g in second]
 
         res = run_spmd(prog, 2, backend="process")
@@ -246,7 +247,7 @@ class TestTimeouts:
         def prog(comm):
             if comm.rank == 1:
                 os._exit(17)  # no exception, no teardown: a real crash
-            comm.barrier()
+            comm.bcast(None)
             return "ok"
 
         t0 = time.monotonic()
@@ -260,14 +261,14 @@ class TestTimeouts:
             assert "died unexpectedly" in str(exc.__cause__)
             assert "exitcode 17" in str(exc.__cause__)
 
-    def test_recv_timeout_fires(self):
-        """With a timeout set, a never-arriving message raises, not hangs;
-        the rank that ignores the abort is stopped on a short grace."""
+    def test_collective_timeout_fires(self):
+        """With a timeout set, a collective whose peer is late raises, not
+        hangs; the rank that ignores the abort is stopped on a short grace."""
 
         def prog(comm):
-            if comm.rank == 0:
-                return comm.recv(source=1, tag=9)  # rank 1 never sends
-            time.sleep(60)
+            if comm.rank == 1:
+                time.sleep(60)  # joins rank 0's bcast a minute late
+            return comm.bcast(None)
 
         before = _shm_segments()
         t0 = time.monotonic()
@@ -280,9 +281,9 @@ class TestTimeouts:
         monkeypatch.setenv("REPRO_PROC_TIMEOUT", "1.5")
 
         def prog(comm):
-            if comm.rank == 0:
-                return comm.recv(source=1, tag=9)
-            time.sleep(60)
+            if comm.rank == 1:
+                time.sleep(60)
+            return comm.bcast(None)
 
         before = _shm_segments()
         t0 = time.monotonic()
