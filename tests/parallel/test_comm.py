@@ -97,6 +97,26 @@ class TestCollectives:
         res = run_spmd(prog, nranks, backend=backend)
         assert res.values[1:] == [float(r) for r in range(1, nranks)]
 
+    def test_senders_may_reuse_their_arrays_on_return(self, backend, nranks):
+        """Once a collective returns, a rank may overwrite what it sent; the
+        ranks that received it keep the values sent."""
+
+        def prog(comm):
+            buf = np.full(3, float(comm.rank))
+            got = comm.bcast(buf if comm.rank == 1 else None, root=1)
+            gathered = comm.gather(buf, root=0)
+            buf += 100.0  # every rank reuses its buffer at once
+            comm.bcast(None)  # the receivers read only after every sender wrote
+            if comm.rank == 0:
+                return got.tolist(), [g.tolist() for g in gathered[1:]]
+            return got.tolist(), None
+
+        res = run_spmd(prog, nranks, backend=backend)
+        for r, (got, _) in enumerate(res.values):
+            if r != 1:
+                assert got == [1.0] * 3
+        assert res.values[0][1] == [[float(r)] * 3 for r in range(1, nranks)]
+
     def test_allreduce_sum_array(self, backend, nranks):
         def prog(comm):
             return comm.allreduce(np.full(3, comm.rank + 1.0))
@@ -105,6 +125,21 @@ class TestCollectives:
         total = sum(range(1, nranks + 1))
         for v in res.values:
             assert np.allclose(v, total)
+
+    def test_allreduce_results_are_private(self, backend, nranks):
+        def prog(comm):
+            mine = np.full(3, comm.rank + 1.0)
+            total = comm.allreduce(mine)
+            if comm.rank == 1:
+                total += 100.0  # must not corrupt the peers' results
+            comm.bcast(None)  # peers read only after rank 1 wrote
+            return float(mine[0]), float(total[0])
+
+        res = run_spmd(prog, nranks, backend=backend)
+        total = float(sum(range(1, nranks + 1)))
+        assert res.values == [
+            (r + 1.0, total + (100.0 if r == 1 else 0.0)) for r in range(nranks)
+        ]
 
     def test_allreduce_min_max(self, backend, nranks):
         res = run_spmd(

@@ -60,3 +60,13 @@ class TestVirtualClock:
         c.sync_to(7.0, "bcast", 128, 4)
         assert c.t >= 7.0
         assert (c.stats.collectives, c.stats.bytes_sent) == (1, 128)
+
+    def test_sync_to_adds_the_modeled_cost(self):
+        m = PerfModel(alpha=1e-3, beta=1e-6)
+        early = VirtualClock(model=m)
+        early.sync_to(2.0, "allreduce", 100, 4)
+        assert early.t == 2.0 + m.collective_time("allreduce", 100, 4)
+        # a rank arriving after every peer starts the collective at its own time
+        late = VirtualClock(model=m, t=5.0)
+        late.sync_to(2.0, "bcast", 100, 4)
+        assert late.t == 5.0 + m.collective_time("bcast", 100, 4)
