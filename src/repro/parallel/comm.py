@@ -29,7 +29,7 @@ from repro.parallel.perfmodel import PerfModel, VirtualClock
 
 __all__ = [
     "Communicator", "SerialComm", "RankFailure", "PeerRankFailed", "REDUCE_OPS",
-    "collective_results", "payload_nbytes", "reduce_many",
+    "collective_results", "mismatched_collectives", "payload_nbytes", "reduce_many",
 ]
 
 
@@ -93,6 +93,13 @@ def collective_results(
     if op == "allreduce":
         return [reduce_many(slots, reduce_op)] * size
     raise ValueError(f"unknown collective {op!r}")
+
+
+def mismatched_collectives(calls: Sequence[tuple]) -> RuntimeError | None:
+    """The error both backends fail rank 0 with when the ranks' ``(op, root,
+    reduce_op)`` in `calls` differ; None when they all agree."""
+    kinds = sorted(set(calls))
+    return RuntimeError(f"mismatched collectives across ranks: {kinds}") if len(kinds) > 1 else None
 
 
 def payload_nbytes(obj: Any) -> int:

@@ -53,7 +53,8 @@ from multiprocessing import connection, get_context, shared_memory
 from collections.abc import Callable
 from typing import Any
 
-from repro.parallel.comm import Communicator, PeerRankFailed, collective_results
+from repro.parallel.comm import (Communicator, PeerRankFailed, collective_results,
+                                 mismatched_collectives)
 from repro.parallel.perfmodel import PerfModel, VirtualClock
 
 __all__ = ["ProcessComm", "ProcessCommWorld", "run_process_spmd", "SHM_THRESHOLD"]
@@ -430,11 +431,9 @@ class _Hub:
         size = self.world.size
         entries = [self._pending[r] for r in range(size)]
         self._pending.clear()
-        ops = {entry[:3] for entry in entries}
-        if len(ops) != 1:
-            self._fail(
-                0, RuntimeError(f"mismatched collectives across ranks: {sorted(ops)}")
-            )
+        mismatch = mismatched_collectives([entry[:3] for entry in entries])
+        if mismatch is not None:
+            self._fail(0, mismatch)
             return
         op, root, reduce_op = entries[0][:3]
         try:

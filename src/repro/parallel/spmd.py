@@ -118,14 +118,8 @@ def run_spmd(
     for t in threads:
         t.join()
 
-    # Prefer the originating failure: peers that died unblocking a broken
-    # barrier are secondary casualties.
+    # The first rank to abort the world failed; its peers are secondary casualties.
     if world.failure is not None:
-        for rank, err in enumerate(errors):
-            if err is world.failure:
-                raise RuntimeError(f"rank {rank} failed") from err
-        raise RuntimeError("SPMD run failed") from world.failure
-    for rank, err in enumerate(errors):
-        if err is not None:
-            raise RuntimeError(f"rank {rank} failed") from err
+        rank = next(r for r, err in enumerate(errors) if err is world.failure)
+        raise RuntimeError(f"rank {rank} failed") from world.failure
     return SpmdResult(values, clocks)

@@ -2,11 +2,12 @@
 
 Every rank is a real OS thread; a collective rendezvouses through a shared
 slot array guarded by two barrier crossings (write → read → release), so
-ordering and blocking behaviour match MPI.  Between the crossings each rank
-takes its result from :func:`~repro.parallel.comm.collective_results` and
-copies every array in it that it did not contribute, matching mpi4py's
-value semantics — a rank mutating what it received must not corrupt its
-peers.
+ordering and blocking behaviour match MPI.  Between the crossings rank 0
+fails the run if the ranks entered different collectives, as the process
+hub does; otherwise each rank takes its result from
+:func:`~repro.parallel.comm.collective_results` and copies every array in it
+that it did not contribute, matching mpi4py's value semantics — a rank
+mutating what it received must not corrupt its peers.
 
 Alongside the real data exchange, every collective advances each rank's
 :class:`~repro.parallel.perfmodel.VirtualClock` to
@@ -30,7 +31,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.parallel.comm import Communicator, PeerRankFailed, collective_results
+from repro.parallel.comm import (Communicator, PeerRankFailed, collective_results,
+                                 mismatched_collectives)
 from repro.parallel.perfmodel import PerfModel, VirtualClock
 
 __all__ = ["ThreadComm", "CommWorld"]
@@ -68,6 +70,7 @@ class CommWorld:
         self.fault_hook = fault_hook
         self.barrier = threading.Barrier(size)
         self.slots: list[Any] = [None] * size
+        self.calls: list[tuple | None] = [None] * size  # each rank's (op, root, reduce_op)
         self.arrivals: list[float] = [0.0] * size
         self.failure: BaseException | None = None
 
@@ -118,8 +121,14 @@ class ThreadComm(Communicator):
     ) -> tuple[Any, float]:
         w = self._world
         w.slots[self._rank] = contribution
+        w.calls[self._rank] = (op, root, reduce_op)
         w.arrivals[self._rank] = self._clock.t
         self._wait()
+        mismatch = mismatched_collectives(w.calls)
+        if mismatch is not None:
+            if self._rank == 0:
+                raise mismatch
+            self._wait()  # broken by rank 0's failure: raises PeerRankFailed
         # Read the slots before the second crossing: after it, peers may
         # refill them or mutate what they contributed.
         result = collective_results(op, root, reduce_op, w.slots)[self._rank]

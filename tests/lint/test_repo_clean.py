@@ -43,7 +43,8 @@ def test_rule_set_covers_rpl001_through_rpl009():
 def test_project_rule_suppressions_are_documented():
     """The interprocedural rules pass over the tree with exactly the
     known justified inline ignores: StreamFeed's derived test-batch cache
-    (rebuilt deterministically on resume, so not checkpoint state)."""
+    (rebuilt deterministically on resume, so not checkpoint state), and the
+    communicator test whose ranks enter different collectives on purpose."""
     found = []
     for sub in ("src", "tests", "benchmarks"):
         for dirpath, _, filenames in os.walk(os.path.join(REPO, sub)):
@@ -59,5 +60,6 @@ def test_project_rule_suppressions_are_documented():
                             continue
                         if any(c in line for c in ("RPL007", "RPL008", "RPL009")):
                             found.append((os.path.relpath(path, REPO), lineno))
-    assert sorted({p for p, _ in found}) == ["src/repro/train/feeds.py"]
-    assert len(found) == 2
+    assert sorted({p for p, _ in found}) == ["src/repro/train/feeds.py",
+                                             "tests/parallel/test_comm.py"]
+    assert len(found) == 3

@@ -240,6 +240,22 @@ class TestErrorPropagation:
         assert isinstance(excinfo.value.__cause__, ValueError)
         assert (tmp_path / "rank0").read_text() == "peer rank failed: ValueError('boom')"
 
+    def test_mismatched_collectives_fail_rank_0(self, backend):
+        """Ranks that enter different collectives fail the run as rank 0,
+        with the same message on both backends, before any result is read."""
+
+        def prog(comm):
+            if comm.rank == 0:  # repro-lint: ignore[RPL007]
+                return comm.allreduce(1)
+            return comm.gather(2, root=0)
+
+        with pytest.raises(RuntimeError, match="rank 0 failed") as excinfo:
+            run_spmd(prog, 2, backend=backend)
+        assert str(excinfo.value.__cause__) == (
+            "mismatched collectives across ranks: "
+            "[('allreduce', None, 'sum'), ('gather', 0, None)]"
+        )
+
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestVirtualTime:

@@ -10,7 +10,19 @@ divide the grid and shapes that leave remainders, rank counts that split
 snapshots mid-run, shard directories with and without stored ranges,
 constant fields, values exactly on the edges, and block caps small enough
 to split one snapshot's run into several blocks.
+
+The moments' third and fourth powers are products (``c2 = c*c``, ``c2*c``,
+``c2*c2``), in the reference as in the stage.  They replaced array
+``c**3`` and ``c**4`` (:func:`old_cube_moments`), which numpy rounds
+differently under its AVX512 dispatch and computes slowly there.  The
+summaries changed in the last bits; :class:`TestProductsKeepTheSelections`
+pins that no selection, point, virtual time or energy did, and
+:class:`TestDispatchIndependentMoments` that the products give the same bits
+under every dispatch.  Nothing here depends on the dispatch, so the file
+also runs with AVX512 turned off.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -22,7 +34,7 @@ from repro.parallel import run_spmd
 from repro.parallel.comm import SerialComm
 from repro.sampling import stages
 from repro.sampling.entropy import cluster_value_distributions, cube_moments
-from repro.sampling.pipeline import SubsamplePipeline, run_stream_subsample
+from repro.sampling.pipeline import SubsamplePipeline, run_stream_subsample, subsample
 from repro.sampling.stages import CubeIndexStage, Phase1SummarizeStage, PipelineContext
 from repro.sampling.streaming import StreamingMaxEnt
 from repro.sampling.temporal import snapshot_histograms
@@ -30,12 +42,13 @@ from repro.sim.fields import FlowField
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 
 
-def case_for(cube, dims):
+def case_for(cube, dims, num_hypercubes=1, num_samples=8):
     edges = dict(zip(("nxsl", "nysl", "nzsl"), (*cube, 1, 1)))
     return CaseConfig(
         shared=SharedConfig(dims=dims),
-        subsample=SubsampleConfig(hypercubes="maxent", method="maxent", num_hypercubes=1,
-                                  num_samples=8, num_clusters=4, **edges),
+        subsample=SubsampleConfig(hypercubes="maxent", method="maxent",
+                                  num_hypercubes=num_hypercubes, num_samples=num_samples,
+                                  num_clusters=4, **edges),
         train=TrainConfig(arch="mlp_transformer"),
     )
 
@@ -65,11 +78,12 @@ def reference_phase1(ctx):
         scanned += flat.size
         mean, std = flat.mean(), flat.std()
         centred = flat - mean
+        c2 = centred * centred
         summaries[i] = [
             mean,
             std,
-            (centred**3).mean() / max(std**3, 1e-12),
-            (centred**4).mean() / max(std**4, 1e-12),
+            (c2 * centred).mean() / max(std**3, 1e-12),
+            (c2 * c2).mean() / max(std**4, 1e-12),
         ]
         counts, _ = np.histogram(flat, bins=edges)
         total = counts.sum()
@@ -272,9 +286,83 @@ class TestSharedMomentsHelper:
             flat = cube.reshape(-1)
             mean, std = flat.mean(), flat.std()
             centred = flat - mean
-            want = np.array([mean, std, (centred**3).mean() / max(std**3, 1e-12),
-                             (centred**4).mean() / max(std**4, 1e-12)])
+            c2 = centred * centred
+            want = np.array([mean, std, (c2 * centred).mean() / max(std**3, 1e-12),
+                             (c2 * c2).mean() / max(std**4, 1e-12)])
             assert cube_moments(cube.reshape(1, -1))[0].tobytes() == want.tobytes()
+
+
+def old_cube_moments(block):
+    """:func:`cube_moments` before its numerators were products: array
+    ``**3`` and ``**4``, whose last bits depend on numpy's SIMD dispatch."""
+    mean, std = block.mean(axis=1), block.std(axis=1)
+    centred = block - mean[:, None]
+    skew = [m3 / max(s**3, 1e-12) for m3, s in zip((centred**3).mean(axis=1), std)]
+    kurt = [m4 / max(s**4, 1e-12) for m4, s in zip((centred**4).mean(axis=1), std)]
+    return np.column_stack([mean, std, skew, kurt])
+
+
+def run_outputs(res):
+    """What a subsample hands on: selected cubes, points, virtual time and
+    energy, in bytes."""
+    pts = res.points
+    h = hashlib.sha256(np.ascontiguousarray(pts.coords).tobytes())
+    h.update(np.ascontiguousarray(np.asarray(pts.time)).tobytes())
+    for name in sorted(pts.values):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(pts.values[name]).tobytes())
+    return (res.selected_cube_ids.tolist(), h.hexdigest(), res.virtual_time.hex(),
+            res.energy.total_energy.hex())
+
+
+class TestProductsKeepTheSelections:
+    """The summaries feed only the labels of Hmaxent's ``MiniBatchKMeans``;
+    over these runs the old and new summaries give the same labels, so every
+    output is the same bytes."""
+
+    @pytest.mark.parametrize("nranks", [1, 2])
+    @pytest.mark.parametrize("kind", ["memory", "shards"])
+    @pytest.mark.parametrize("label,cube", [("SST-P1F4", (8, 8, 8)), ("OF2D", (10, 11))])
+    def test_old_and_new_moments_select_alike(self, datasets, shard_dirs, monkeypatch,
+                                              label, cube, kind, nranks):
+        ds = datasets[label]
+        source = (InMemorySource(ds) if kind == "memory"
+                  else ShardDirSource(shard_dirs[label][0], max_cached=2))
+        case = case_for(cube, ds.ndim, num_hypercubes=4, num_samples=16)
+        summaries = {old_cube_moments: {}, cube_moments: {}}  # by block digest
+
+        def recording(fn):
+            def moments(block):
+                out = fn(block)
+                summaries[fn][hashlib.sha256(block.tobytes()).digest()] = out
+                return out
+            return moments
+
+        for seed in range(10):
+            outputs = []
+            for fn in (old_cube_moments, cube_moments):
+                monkeypatch.setattr(stages, "cube_moments", recording(fn))
+                outputs.append(run_outputs(subsample(source, case, nranks=nranks, seed=seed)))
+            assert outputs[0] == outputs[1], seed
+        old, new = summaries[old_cube_moments], summaries[cube_moments]
+        assert old.keys() == new.keys()
+        old_rows = np.concatenate(list(old.values()))
+        new_rows = np.concatenate([new[k] for k in old])
+        assert old_rows[:, :2].tobytes() == new_rows[:, :2].tobytes()  # mean and std
+        assert (old_rows[:, 2:] != new_rows[:, 2:]).any()  # so the sweep is not vacuous
+
+
+class TestDispatchIndependentMoments:
+    def test_recorded_digest(self):
+        """Integer arithmetic and one division build the block, so its bits
+        are the same under every dispatch, and so are its moments.  With
+        array ``**`` numerators no one digest held under both AVX512 and
+        ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``."""
+        k = np.arange(64 * 512).reshape(64, 512)
+        v = (k * 7919) % 2003
+        block = (v * v // (1 + k // 512) + k // 512) / 7.0
+        digest = hashlib.sha256(cube_moments(block).tobytes()).hexdigest()
+        assert digest == "d40f7850fb92c7d6406cb5de90b016cf5bb73ae5016adda97fc36209934093bf"
 
 
 class TestRejectBadHistBins:
