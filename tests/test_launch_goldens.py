@@ -178,6 +178,13 @@ CELLS = {
     "stream-dir-owned-death": (run_subsample, "sub_dir", dict(
         ranks=2, mode="stream", owned_shards=True, on_rank_failure="reweight",
         fault_hook=kill_rank_1)),
+    "stream-dir-owned-process": (run_subsample, "sub_dir", dict(
+        ranks=2, mode="stream", owned_shards=True, backend="process")),
+    "stream-remote-owned": (run_subsample, "sub_remote",
+                            dict(ranks=2, mode="stream", owned_shards=True)),
+    # 5 ranks over 4 snapshots: the last rank's span is empty
+    "stream-dir-owned-r5": (run_subsample, "sub_dir",
+                            dict(ranks=5, mode="stream", owned_shards=True)),
     # batch subsample
     **{f"batch-{src}-r{r}-{b}": (run_subsample, s, dict(ranks=r, mode="batch", backend=b))
        for src, s in (("mem", "sub"), ("dir", "sub_dir"))
@@ -220,6 +227,8 @@ GOLDEN = {
     "fit-stream-mem-r2": "b6d0e702c9913c6be2f7a1f06beecd7ac4252ec360955009eb8db24af423e2c4",
     "stream-dir-owned": "6d8c0d160a82db6c1178deda6417f35c155c04200cbc7c75145ed23eec8d5ccd",
     "stream-dir-owned-death": "24f311755de62c34099ff0d588522adc89300d637b459e9f9b4455400489b7ce",
+    "stream-dir-owned-process": "5e6e3da49c4f9033dcf115c28152b1443ba5b9593b7be93109781b12f98020c9",
+    "stream-dir-owned-r5": "36bd61c6b1328702fb6a4e1765c8cecb92ae0ecee90ddf2aaaf0bea9ad7008af",
     "stream-dir-process": "daeccd7d78134e452da42a09aac28aaea7b272bdf8c0b6bd0ce4e7ba0223a155",
     "stream-dir-shared": "a6d7a130f187661d25e4642e60b2400f0a1da45eb12013b63e9a53d3e8296e49",
     "stream-mem-maxent-r1": "31e8352b9ff28ba7e2c7818e2d1577d54ee32c4777b3617c7354558973227f79",
@@ -229,6 +238,7 @@ GOLDEN = {
     "stream-mem-random-r2": "0e4246f5db1ee1eeb7296d79d067ad04fd3b574b85634b595f5838fef1cbd138",
     "stream-mem-random-r3": "bbfae54e4c6927b4242e9f4169e68e54bd8327b67b8c0a3f7003447809ea1e77",
     "stream-remote": "2f5eb1d8b8e9bf303095834f0109a5589670da324a640376e13036fc5cabd56a",
+    "stream-remote-owned": "30ce252fbeee37b9a5a5d085e9c467a582d77cf2453ed8dc13f49e0810fd92a1",
 }
 
 
