@@ -210,10 +210,11 @@ def test_fig7_owned_vs_shared_io(benchmark, sst_p1f4_dataset, tmp_path):
 
     Shared mode routes every rank through one ShardDirSource LRU (lock
     contention, cross-rank evictions); owned mode gives each rank a private
-    source over a disjoint shard set (OwnedShardLayout).  Reports the
-    virtual + wall makespan of both and the per-rank cache counters that
-    prove ownership: in owned mode each rank decodes exactly its own span
-    and the per-rank counters sum to the dataset's total I/O.
+    source over its own span of the same shard directory
+    (``ShardDirSource.reopen``).  Reports the virtual + wall makespan of
+    both and the per-rank cache counters that prove ownership: in owned
+    mode each rank decodes exactly its own span and the per-rank counters
+    sum to the dataset's total I/O.
     """
     import time as _time
 

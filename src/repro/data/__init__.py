@@ -44,7 +44,7 @@ from repro.data.sources import (
     open_source,
 )
 from repro.data.loaders import load_dataset, save_dataset, stream_dataset
-from repro.data.store import OwnedShardLayout, SubsampleStore
+from repro.data.store import SubsampleStore
 
 __all__ = [
     "PointSet",
@@ -72,6 +72,5 @@ __all__ = [
     "load_dataset",
     "save_dataset",
     "stream_dataset",
-    "OwnedShardLayout",
     "SubsampleStore",
 ]

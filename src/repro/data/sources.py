@@ -22,7 +22,7 @@ implementations cover the ingestion spectrum:
   directory lives behind a simulated object store: shards are staged to a
   bounded local-disk tier through a latency/bandwidth cost model before
   decoding, so RAM → local disk → remote tiering is exercised with the
-  same LRU/prefetch/ownership machinery.
+  same LRU/prefetch/span machinery.
 * :class:`SimulationSource` — generates snapshots on demand from a
   replayable simulation factory (true in-situ: nothing is ever written to
   disk or held beyond a small rolling window; revisiting an earlier
@@ -32,6 +32,9 @@ implementations cover the ingestion spectrum:
 source — the unit of work one SPMD rank streams in the multi-producer
 subsample (``repro.parallel.partition.stream_partitions`` decides the
 spans; per-rank samples are then recombined by weighted reservoir merge).
+A view shares its base's cache; :meth:`ShardDirSource.reopen` gives a rank
+the same span as a private shard source instead, with its own LRU and
+prefetcher over the same directory.
 
 Sources may also support *asynchronous prefetch*: :meth:`SnapshotSource.prefetch`
 is an advisory look-ahead hint (no-op by default);  ``ShardDirSource``
@@ -303,7 +306,7 @@ class ShardDirSource(SnapshotSource):
     resolved from the manifest's ``"codec"`` stamp against the
     :mod:`~repro.data.codecs` registry (directories from before the
     registry read as ``npz``), so every policy here — bounded LRU,
-    prefetch, ownership splits — is codec-agnostic.  Decoded shards live
+    prefetch, reopened spans — is codec-agnostic.  Decoded shards live
     in a thread-safe LRU holding at most ``max_cached`` snapshots, so
     subsampling an N-shard dataset never resides more than ``max_cached``
     shards in memory regardless of N.  :meth:`cache_info` exposes the
@@ -340,6 +343,7 @@ class ShardDirSource(SnapshotSource):
         self.gravity = manifest.get("gravity", "none")
         target = manifest.get("target")
         self.target = np.asarray(target, dtype=np.float64) if target is not None else None
+        self._lo = 0  # the directory's index of snapshot 0 (see reopen)
         self._n = int(manifest["n_snapshots"])
         self._ranges: dict[str, list] = manifest.get("value_ranges", {})
         for var, per_shard in self._ranges.items():
@@ -360,29 +364,39 @@ class ShardDirSource(SnapshotSource):
         self._queue: queue.Queue[int | None] | None = None
         self._worker: threading.Thread | None = None
 
-    @property
-    def layout_path(self) -> str:
-        """The directory :class:`~repro.data.store.OwnedShardLayout` should
-        split for per-rank ownership (tiered wrappers point this at their
-        backing store, not their staging area)."""
-        return self.path
+    def reopen(self, lo: int, hi: int) -> ShardDirSource:
+        """A fresh private source with this source's knobs over its
+        snapshots ``[lo, hi)``, renumbered from 0 — how an owned-shard rank
+        or a forked process rank reads its span without sharing this
+        source's LRU and prefetcher.  Its snapshot ``i`` is this source's
+        snapshot ``lo + i``, read from the same directory, so its prefetch
+        look-ahead stops at the span's end; ``target`` and the stored
+        ranges are sliced to the span."""
+        if not 0 <= lo <= hi <= self._n:
+            raise ValueError(
+                f"span [{lo}, {hi}) invalid for a {self._n}-snapshot source"
+            )
+        fresh = self._fresh()
+        fresh._lo, fresh._n = self._lo + lo, hi - lo
+        fresh.target = None if self.target is None else self.target[lo:hi]
+        fresh._ranges = {var: per_shard[lo:hi] for var, per_shard in self._ranges.items()}
+        return fresh
 
-    def reopen(self, path: str | None = None) -> ShardDirSource:
-        """A fresh private source with this source's knobs over `path`
-        (default: the same directory) — how owned-shard layouts and the
-        process backend's forked workers get per-rank sources without
-        sharing LRU/prefetch state."""
-        return ShardDirSource(
-            self.layout_path if path is None else path,
-            max_cached=self.max_cached, prefetch=self.prefetch_depth,
-        )
+    def _fresh(self) -> ShardDirSource:
+        """A new source with this one's knobs over the whole directory."""
+        return ShardDirSource(self.path, max_cached=self.max_cached,
+                              prefetch=self.prefetch_depth)
 
-    def shard_path(self, i: int) -> str:
-        """On-disk path of shard `i` (file or directory, per the codec);
-        validates the index."""
+    def _shard(self, i: int) -> int:
+        """The directory's index of snapshot `i`; validates `i`."""
         if not 0 <= i < self._n:
             raise IndexError(f"snapshot {i} out of range [0, {self._n})")
-        return self.codec.shard_path(self.path, i)
+        return self._lo + i
+
+    def shard_path(self, i: int) -> str:
+        """On-disk path of snapshot `i`'s shard (file or directory, per the
+        codec); validates the index."""
+        return self.codec.shard_path(self.path, self._shard(i))
 
     @property
     def n_snapshots(self) -> int:
@@ -405,8 +419,7 @@ class ShardDirSource(SnapshotSource):
     def _decode(self, i: int, materialize: bool = False) -> FlowField:
         """Decode shard `i` through the codec (outside the lock, so
         decodes overlap)."""
-        self.shard_path(i)  # validate the index
-        field = self.codec.decode_lazy(self.path, i)
+        field = self.codec.decode_lazy(self.path, self._shard(i))
         if materialize:
             field.materialize()
         return field
@@ -538,7 +551,7 @@ class ShardDirSource(SnapshotSource):
         """Metadata-only time read for shard `i` (no array decode); tiered
         wrappers read from their backing store so an unstaged shard never
         forces a fetch."""
-        return self.codec.shard_time(self.path, i)
+        return self.codec.shard_time(self.path, self._shard(i))
 
     @property
     def times(self) -> np.ndarray:
@@ -613,8 +626,8 @@ class RemoteTieredSource(ShardDirSource):
 
     Everything above the staging step — bounded LRU, background
     prefetcher (which now overlaps *remote fetches* with sampling),
-    ``cache_info()``, :class:`~repro.data.store.OwnedShardLayout` splits
-    (built over ``remote_path``; per-rank sources stage privately) — is
+    ``cache_info()``, :meth:`~ShardDirSource.reopen` spans (each with its
+    own private staging tier over the same ``remote_path``) — is
     inherited from :class:`ShardDirSource` unchanged, for any codec.
 
     Staged files obey the same residency contract as LRU entries: a shard
@@ -668,14 +681,9 @@ class RemoteTieredSource(ShardDirSource):
                 shutil.rmtree(staging, ignore_errors=True)
             raise
 
-    @property
-    def layout_path(self) -> str:
-        return self.remote_path
-
-    def reopen(self, path: str | None = None) -> RemoteTieredSource:
+    def _fresh(self) -> RemoteTieredSource:
         return RemoteTieredSource(
-            self.remote_path if path is None else path,
-            max_staged=self.max_staged, latency_s=self.latency_s,
+            self.remote_path, max_staged=self.max_staged, latency_s=self.latency_s,
             bandwidth=self.bandwidth, max_cached=self.max_cached,
             prefetch=self.prefetch_depth,
         )
@@ -705,8 +713,9 @@ class RemoteTieredSource(ShardDirSource):
         try:
             # Fetch outside the lock: remote copies overlap with decodes
             # and with other shards' fetches.
-            self.codec.link_shard(self.remote_path, i, self.path, i)
-            nbytes = self.codec.shard_disk_bytes(self.path, i)
+            shard = self._shard(i)
+            self.codec.link_shard(self.remote_path, self.path, shard)
+            nbytes = self.codec.shard_disk_bytes(self.path, shard)
             with self._lock:
                 self._staged[i] = nbytes
                 self._stats.remote_fetches += 1
@@ -734,7 +743,7 @@ class RemoteTieredSource(ShardDirSource):
                 return  # everything over-budget is pinned by residency
             del self._staged[victim]
             self._stats.staged_evictions += 1
-            self.codec.remove_shard(self.path, victim)
+            self.codec.remove_shard(self.path, self._shard(victim))
 
     @contextlib.contextmanager
     def _pinned(self, i: int) -> Iterator[None]:
@@ -771,7 +780,7 @@ class RemoteTieredSource(ShardDirSource):
     def _shard_time(self, i: int) -> float:
         """Metadata-only read served straight from the remote directory —
         times never force a shard fetch into the staging tier."""
-        return self.codec.shard_time(self.remote_path, i)
+        return self.codec.shard_time(self.remote_path, self._shard(i))
 
     def _tier_gauges(self) -> dict:
         """Staging-tier gauges for :meth:`cache_info` (lock held)."""

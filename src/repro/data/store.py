@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import threading
 from collections.abc import Callable, Iterable, Mapping
 from contextlib import AbstractContextManager
@@ -29,7 +28,6 @@ __all__ = [
     "load_field_lazy",
     "LazyMembers",
     "LazyField",
-    "OwnedShardLayout",
     "points_payload",
     "points_from_npz",
     "read_manifest",
@@ -285,113 +283,6 @@ def load_field_lazy(path: str) -> LazyField:
         header.dtype.itemsize, float(data["time"]), _npz_meta(data),
         derived=LazyMembers(derived, lambda k: data[f"der_{k}"]) if derived else None,
     )
-
-
-class OwnedShardLayout:
-    """Disjoint per-rank ownership of one ``save_dataset`` shard directory.
-
-    Distributed shard *ownership*: instead of every SPMD rank reading
-    through one shared :class:`~repro.data.sources.ShardDirSource` cache,
-    each rank gets its own shard directory holding exactly its contiguous
-    snapshot span — so each rank runs a private bounded LRU and a private
-    prefetch thread over a disjoint file set, with zero cross-rank cache
-    traffic.
-
-    :meth:`build` materializes the layout in a fresh run-scoped temp
-    directory (or an explicit ``dest``) — never inside the base directory,
-    which may be a read-only dataset mount: one subdirectory per rank,
-    shards hardlinked (copied when the filesystem refuses links) and
-    renumbered ``snapshot_00000.* ...`` within the rank's span by the
-    directory's own shard codec, plus a per-rank manifest — each rank
-    directory is itself a valid ``save_dataset`` directory of the same
-    codec, so an ordinary ``ShardDirSource`` opens it directly, and
-    :meth:`remove` cleans the whole layout up.  Spans follow
-    :func:`repro.parallel.partition.stream_partitions` (sizes differ by at
-    most one; trailing ranks own empty directories when
-    ``nranks > n_snapshots``).
-    """
-
-    def __init__(self, root: str, base_path: str, spans: list[tuple[int, int]]) -> None:
-        self.root = root
-        self.base_path = base_path
-        self.spans = [(int(lo), int(hi)) for lo, hi in spans]
-
-    @property
-    def nranks(self) -> int:
-        return len(self.spans)
-
-    def rank_dir(self, rank: int) -> str:
-        if not 0 <= rank < self.nranks:
-            raise IndexError(f"rank {rank} out of range [0, {self.nranks})")
-        return os.path.join(self.root, f"rank_{rank:03d}")
-
-    def rank_span(self, rank: int) -> tuple[int, int]:
-        if not 0 <= rank < self.nranks:
-            raise IndexError(f"rank {rank} out of range [0, {self.nranks})")
-        return self.spans[rank]
-
-    @classmethod
-    def build(
-        cls, path: str, nranks: int, dest: str | None = None
-    ) -> OwnedShardLayout:
-        """Split the shard directory at `path` into `nranks` owned sets.
-
-        The layout lands in a fresh unique temp directory by default (never
-        inside `path` — the base directory may be a read-only dataset
-        mount, and concurrent runs must not clobber each other), so call
-        :meth:`remove` when done.  An explicit `dest` is rebuilt from
-        scratch (any stale layout there is removed).  Hardlinks keep the
-        build O(nranks) in disk regardless of shard sizes (falling back to
-        copies when `dest` is on a different filesystem).
-        """
-        import tempfile
-
-        from repro.data.codecs import get_codec
-        from repro.parallel.partition import stream_partitions
-
-        if nranks < 1:
-            raise ValueError("nranks must be >= 1")
-        manifest = read_manifest(path)
-        codec = get_codec(manifest.get("codec", "npz"))
-        n = int(manifest["n_snapshots"])
-        if dest is None:
-            root = tempfile.mkdtemp(prefix=f"owned_r{nranks}_")
-        else:
-            root = dest
-            if os.path.isdir(root):
-                shutil.rmtree(root)
-            os.makedirs(root)
-        target = manifest.get("target")
-        ranges = manifest.get("value_ranges")
-        spans = []
-        try:
-            for part in stream_partitions(n, nranks):
-                rank_dir = os.path.join(root, f"rank_{part.rank:03d}")
-                os.makedirs(rank_dir)
-                for j, i in enumerate(part.indices()):
-                    codec.link_shard(path, i, rank_dir, j)
-                rank_manifest = {
-                    **manifest,
-                    "n_snapshots": part.n,
-                    "target": target[part.lo : part.hi] if target is not None else None,
-                }
-                if ranges is not None:
-                    rank_manifest["value_ranges"] = {
-                        var: per_shard[part.lo : part.hi]
-                        for var, per_shard in ranges.items()
-                    }
-                write_manifest(rank_dir, rank_manifest)
-                spans.append((part.lo, part.hi))
-        except BaseException:
-            # Don't leak a half-built layout (mkdtemp or explicit dest).
-            shutil.rmtree(root, ignore_errors=True)
-            raise
-        return cls(root, path, spans)
-
-    def remove(self) -> None:
-        """Delete the materialized layout (the base directory is untouched)."""
-        if os.path.isdir(self.root):
-            shutil.rmtree(self.root)
 
 
 class SubsampleStore:

@@ -3,21 +3,20 @@ launches ranks — batch and stream subsample and both ``Experiment.train``
 modes run on :func:`run_ranks`.
 
 It owns what every launch shares.  First, one rule for each rank's source
-view: ``"whole"`` is the caller's source object itself (batch subsample; on
-the thread backend it stays the same object, so a shard source's warm LRU
-survives across runs); ``"span"`` is the rank's
-:func:`~repro.parallel.partition.stream_partitions` span as a
-:class:`~repro.data.sources.PartitionedSource` (stream subsample);
-``"owned"`` is, over a shard source, the rank's own
-:class:`~repro.data.store.OwnedShardLayout` directory opened through
-``source.reopen`` so codec and tier settings carry over, and the span over
-any other source (``owned_shards`` stream subsample, stream training).  One
-rank runs inline on the caller's source, whatever the view; a forked rank of
-the process backend reopens a private shard source, whatever the view, as
-the parent's LRU locks and prefetch thread do not survive a fork.  Second,
-the owned layout's lifecycle: built before launch, removed after, however
-the run ends.  Third, a rank reads the cache info of a source opened for it
-and closes it when its body returns or raises.
+view.  The view names the snapshots a rank reads: ``"whole"`` all of them
+(batch subsample), ``"span"`` and ``"owned"`` the rank's
+:func:`~repro.parallel.partition.stream_partitions` span (stream subsample;
+``owned_shards`` stream subsample and stream training).  A rank that needs
+a private shard source — the owned view, or any shard source on the
+process backend, where the parent's LRU locks and prefetch thread do not
+survive a fork — gets ``source.reopen(lo, hi)`` of its span, so codec and
+tier settings carry over; otherwise a span is a
+:class:`~repro.data.sources.PartitionedSource` of the shared source, and
+the whole view is the caller's source object itself (on the thread
+backend a shard source's warm LRU survives across runs).  One rank runs
+inline on the caller's source, whatever the view.  Second, a rank reads
+the cache info of a source opened for it and closes it when its body
+returns or raises.
 
 Living beside :mod:`repro.runspec` keeps :mod:`repro.parallel` free of
 :mod:`repro.data` imports.
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.data.sources import PartitionedSource, ShardDirSource, SnapshotSource
-from repro.data.store import OwnedShardLayout
 from repro.parallel.partition import stream_partitions
 from repro.parallel.perfmodel import PerfModel
 from repro.parallel.spmd import run_spmd
@@ -69,35 +67,26 @@ def run_ranks(
     ``backend``, ``model`` and ``fault_hook`` go to
     :func:`~repro.parallel.spmd.run_spmd`.
     """
-    layout = None
-    if view == "owned" and nranks > 1 and isinstance(source, ShardDirSource):
-        # A run-scoped scratch artifact in a unique temp dir, so concurrent
-        # runs and read-only base directories are safe.
-        layout = OwnedShardLayout.build(source.layout_path, nranks)
-    try:
-        spmd = run_spmd(_rank, nranks, body, source, view, layout, backend, args,
-                        kwargs, model=model, fault_hook=fault_hook, backend=backend)
-    finally:
-        if layout is not None:
-            layout.remove()
+    spmd = run_spmd(_rank, nranks, body, source, view, backend, args, kwargs,
+                    model=model, fault_hook=fault_hook, backend=backend)
     return Launch(values=[value for value, _ in spmd.values],
                   cache_infos=[info for _, info in spmd.values],
                   virtual_time=spmd.virtual_time)
 
 
-def _rank(comm, body, source, view, layout, backend, args, kwargs):
+def _rank(comm, body, source, view, backend, args, kwargs):
     """One rank: build its view, run the body, read and close what it opened."""
     private = None
     rank_source = source
     if comm.size > 1 and source is not None:
-        if layout is not None:
-            private = rank_source = source.reopen(layout.rank_dir(comm.rank))
-        else:
-            if backend == "process" and isinstance(source, ShardDirSource):
-                private = rank_source = source.reopen()
-            if view != "whole":
-                part = stream_partitions(source.n_snapshots, comm.size)[comm.rank]
-                rank_source = PartitionedSource(rank_source, part.lo, part.hi)
+        lo, hi = 0, source.n_snapshots
+        if view != "whole":
+            part = stream_partitions(source.n_snapshots, comm.size)[comm.rank]
+            lo, hi = part.lo, part.hi
+        if isinstance(source, ShardDirSource) and (view == "owned" or backend == "process"):
+            private = rank_source = source.reopen(lo, hi)
+        elif view != "whole":
+            rank_source = PartitionedSource(source, lo, hi)
     try:
         value = body(comm, rank_source, *args, **kwargs)
         return value, None if private is None else private.cache_info()

@@ -158,7 +158,7 @@ def run_stream_subsample(
     (:class:`~repro.sampling.stages.StreamMergeStage`) — distributionally
     equivalent to one producer and bit-deterministic given ``seed`` and
     ``nranks`` on either ``backend``.  ``owned_shards=True`` gives every rank
-    a private shard directory, LRU and prefetcher instead of a span of the
+    a private shard source, LRU and prefetcher instead of a span of the
     shared source (:mod:`repro.driver`), and records the per-rank
     ``cache_info()`` and their aggregate in ``meta["cache"]``.
 

@@ -18,9 +18,9 @@ are interchangeable:
 * :class:`ShardedFeed` — the DDP flavour of :class:`StreamFeed`: each rank
   streams only its own contiguous snapshot span — the source view the SPMD
   driver (:mod:`repro.driver`) hands the rank, a
-  :class:`~repro.data.sources.PartitionedSource` span or a private source
-  over its :class:`~repro.data.store.OwnedShardLayout` directory — with
-  globally agreed test membership and step counts so gradient
+  :class:`~repro.data.sources.PartitionedSource` span, or a private shard
+  source over the span (:meth:`~repro.data.sources.ShardDirSource.reopen`)
+  — with globally agreed test membership and step counts so gradient
   synchronization stays in lock-step across ranks.
 
 Feeds expose ``state()`` / ``load_state()`` — the *feed cursor* — so a

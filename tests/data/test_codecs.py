@@ -19,7 +19,6 @@ import pytest
 from repro.api import Experiment
 from repro.data import (
     InMemorySource,
-    OwnedShardLayout,
     RemoteTieredSource,
     ShardDirSource,
     build_dataset,
@@ -120,7 +119,7 @@ def without_ranges(path, dest):
     manifest = read_manifest(path)
     codec = get_codec(manifest["codec"])
     for i in range(manifest["n_snapshots"]):
-        codec.link_shard(path, i, dest, i)
+        codec.link_shard(path, dest, i)
     del manifest["value_ranges"]
     write_manifest(dest, manifest)
 
@@ -439,9 +438,9 @@ class TestPersistedDerived:
         self, sst, codec_dirs, codec, tmp_path
     ):
         c = get_codec(codec)
-        c.link_shard(codec_dirs[codec], 2, str(tmp_path), 0)
-        field = c.decode_lazy(str(tmp_path), 0).materialize()
-        c.remove_shard(str(tmp_path), 0)  # any later read would fail
+        c.link_shard(codec_dirs[codec], str(tmp_path), 2)
+        field = c.decode_lazy(str(tmp_path), 2).materialize()
+        c.remove_shard(str(tmp_path), 2)  # any later read would fail
         assert same_bytes(field.get("pv"), derive(sst.snapshots[2]))
         assert field.decoded_members() == sorted(sst.snapshots[2].variables)
 
@@ -581,18 +580,6 @@ class TestStoredRanges:
             got = phase1(ShardDirSource(str(tmp_path)), case).edges
             assert got.tobytes() == want.tobytes(), z
             assert (got[-1] == stored) == tiles, z
-
-    def test_owned_layout_slices_ranges_per_rank(self, sst, codec_dirs):
-        base = ShardDirSource(codec_dirs["npz"])
-        layout = OwnedShardLayout.build(codec_dirs["npz"], 4)
-        try:
-            assert layout.spans == [(0, 2), (2, 4), (4, 5), (5, 6)]
-            for r, (lo, hi) in enumerate(layout.spans):
-                src = ShardDirSource(layout.rank_dir(r))
-                assert [src.stored_range("pv", j) for j in range(hi - lo)] == [
-                    base.stored_range("pv", i) for i in range(lo, hi)]
-        finally:
-            layout.remove()
 
     def test_mismatched_range_count_is_refused(self, codec_dirs, tmp_path):
         without_ranges(codec_dirs["raw"], str(tmp_path))

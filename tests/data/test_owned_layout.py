@@ -1,7 +1,7 @@
-"""Tests for distributed shard ownership (OwnedShardLayout) and the
-cross-rank cache_info aggregation."""
+"""Tests for reopened shard spans (``ShardDirSource.reopen``), the private
+per-rank sources of owned-shard runs, and the cross-rank cache_info
+aggregation."""
 
-import json
 import os
 import threading
 
@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    OwnedShardLayout,
     ShardDirSource,
     aggregate_cache_info,
     build_dataset,
+    open_source,
     save_dataset,
 )
-from repro.data.store import MANIFEST
+from repro.parallel.partition import stream_partitions
 
 
 @pytest.fixture(scope="module")
@@ -30,143 +30,105 @@ def shard_dir(sst, tmp_path_factory):
     return str(path)
 
 
-class TestOwnedShardLayout:
-    def test_rank_dirs_are_valid_shard_directories(self, shard_dir, sst):
-        layout = OwnedShardLayout.build(shard_dir, 2)
-        try:
-            assert layout.nranks == 2
-            assert layout.spans == [(0, 3), (3, 5)]
-            for r in range(2):
-                src = ShardDirSource(layout.rank_dir(r))
-                lo, hi = layout.rank_span(r)
-                assert src.n_snapshots == hi - lo
-                assert src.label == sst.label
-                for j in range(src.n_snapshots):
-                    a, b = src.snapshot(j), sst.snapshots[lo + j]
-                    assert a.time == b.time
-                    for name, arr in b.variables.items():
-                        assert np.array_equal(a.get(name), arr), name
-        finally:
-            layout.remove()
+@pytest.fixture(scope="module")
+def specs(sst, shard_dir, tmp_path_factory):
+    """One source spec per codec, plus the npz directory behind remote://."""
+    out = {"npz": shard_dir, "remote": f"remote://{shard_dir}?latency_s=0"}
+    for codec in ("raw", "chunked"):
+        out[codec] = str(tmp_path_factory.mktemp(f"owned-{codec}"))
+        save_dataset(sst, out[codec], codec=codec)
+    return out
 
-    def test_ownership_is_disjoint_and_covering(self, shard_dir, sst):
-        layout = OwnedShardLayout.build(shard_dir, 3)
-        try:
-            times = []
-            for r in range(3):
-                src = ShardDirSource(layout.rank_dir(r))
-                times.extend(src.times)
-            # Every snapshot appears exactly once, in global order.
-            assert times == list(sst.times)
-        finally:
-            layout.remove()
 
-    def test_more_ranks_than_shards_gives_empty_tail_dirs(self, shard_dir, sst):
-        layout = OwnedShardLayout.build(shard_dir, sst.n_snapshots + 2)
-        try:
-            tail = ShardDirSource(layout.rank_dir(layout.nranks - 1))
-            assert tail.n_snapshots == 0
-            assert tail.nbytes() == 0
-            assert list(tail.iter_tables(["u"])) == []
-            assert list(tail.iter_snapshots()) == []
+class TestReopenedSpan:
+    @pytest.mark.parametrize("spec", ["npz", "raw", "chunked", "remote"])
+    def test_span_reads_the_base_shards_byte_for_byte(self, specs, spec, sst):
+        with open_source(specs[spec]) as base:
+            span = base.reopen(1, 4)
+        try:  # the span outlives its base: it shares no state with it
+            assert type(span) is type(base) and span.codec is base.codec
+            assert span.n_snapshots == 3 and span.label == sst.label
+            assert list(span.times) == list(sst.times[1:4])
+            for j in range(3):
+                got, want = span.snapshot(j), sst.snapshots[1 + j]
+                assert got.time == want.time
+                for name, arr in want.variables.items():
+                    assert got.get(name).dtype == arr.dtype
+                    assert got.get(name).tobytes() == arr.tobytes(), (j, name)
         finally:
-            layout.remove()
+            span.close()
 
-    def test_target_sliced_per_rank(self, tmp_path):
+    def test_remote_span_stages_only_its_own_shards(self, specs):
+        """Staged copies keep the directory's shard names, and the prefetch
+        look-ahead stops at the span's end."""
+        with open_source(specs["remote"], prefetch=4) as base:
+            span = base.reopen(1, 3)
+        try:
+            span.snapshot(0)
+            span.snapshot(1)
+            assert sorted(os.listdir(span.path)) == [
+                "manifest.json", "snapshot_00001.npz", "snapshot_00002.npz"]
+        finally:
+            span.close()  # joins the prefetcher: every fetch has landed
+        assert span.cache_info()["counters"]["remote_fetches"] == 2
+
+    @pytest.mark.parametrize("nranks", [2, 3, 7])
+    def test_stream_partition_spans_cover_every_shard_once(self, shard_dir, sst, nranks):
+        with ShardDirSource(shard_dir) as base:
+            spans = [base.reopen(p.lo, p.hi)
+                     for p in stream_partitions(base.n_snapshots, nranks)]
+        try:
+            # every snapshot appears exactly once, in global order
+            assert [t for span in spans for t in span.times] == list(sst.times)
+            for span in spans[sst.n_snapshots:]:  # ranks past the shard count
+                assert span.n_snapshots == 0
+                assert span.nbytes() == 0
+                assert list(span.iter_tables(["u"])) == []
+                assert list(span.iter_snapshots()) == []
+        finally:
+            for span in spans:
+                span.close()
+
+    def test_target_and_stored_ranges_are_sliced(self, tmp_path):
         ds = build_dataset("OF2D", scale=0.3, rng=0, n_snapshots=4)
-        assert ds.target is not None
         path = str(tmp_path / "of2d")
         save_dataset(ds, path)
-        layout = OwnedShardLayout.build(path, 2)
-        try:
-            for r in range(2):
-                src = ShardDirSource(layout.rank_dir(r))
-                lo, hi = layout.rank_span(r)
-                assert np.allclose(src.target, ds.target[lo:hi])
-        finally:
-            layout.remove()
+        with ShardDirSource(path) as base:
+            var = base.cluster_var
+            span = base.reopen(1, 3)
+            inner = span.reopen(1, 2)  # a span of a span: [2, 3) of the base
+            assert np.array_equal(span.target, ds.target[1:3])
+            assert np.array_equal(inner.target, ds.target[2:3])
+            assert [span.stored_range(var, j) for j in range(2)] == [
+                base.stored_range(var, i) for i in (1, 2)]
+            assert inner.stored_range(var, 0) == base.stored_range(var, 2)
+            assert inner.snapshot(0).time == ds.snapshots[2].time
+            with pytest.raises(IndexError):
+                span.stored_range(var, 2)
 
-    def test_default_builds_are_isolated_and_outside_base(self, shard_dir):
-        """Concurrent owned runs must not clobber each other, and the base
-        directory (possibly a read-only dataset mount) stays untouched."""
-        a = OwnedShardLayout.build(shard_dir, 2)
-        b = OwnedShardLayout.build(shard_dir, 2)
+    def test_each_reopened_source_has_its_own_lru(self, shard_dir):
+        with ShardDirSource(shard_dir, max_cached=1, prefetch=1) as base:
+            a, b = base.reopen(0, 3), base.reopen(0, 3)
         try:
-            assert a.root != b.root
-            assert not a.root.startswith(shard_dir)
-            assert not any(name.startswith(".owned") for name in os.listdir(shard_dir))
-        finally:
-            a.remove()
-            b.remove()
-
-    def test_explicit_dest_rebuild_replaces_stale_layout(self, shard_dir, tmp_path):
-        dest = str(tmp_path / "layout")
-        layout = OwnedShardLayout.build(shard_dir, 2, dest=dest)
-        marker = os.path.join(layout.rank_dir(0), "stale.txt")
-        with open(marker, "w", encoding="utf-8") as fh:
-            fh.write("old")
-        rebuilt = OwnedShardLayout.build(shard_dir, 2, dest=dest)
-        try:
-            assert rebuilt.root == dest
-            assert not os.path.exists(marker)
-        finally:
-            rebuilt.remove()
-
-    def test_hardlinks_not_copies_where_supported(self, shard_dir):
-        layout = OwnedShardLayout.build(shard_dir, 2)
-        try:
-            base = os.path.join(shard_dir, "snapshot_00000.npz")
-            owned = os.path.join(layout.rank_dir(0), "snapshot_00000.npz")
-            if os.stat(base).st_nlink > 1:  # fs supports hardlinks
-                assert os.path.samefile(base, owned)
-        finally:
-            layout.remove()
-
-    def test_rank_source_is_private(self, shard_dir):
-        layout = OwnedShardLayout.build(shard_dir, 2)
-        try:
-            with ShardDirSource(shard_dir, max_cached=1) as base:
-                a = base.reopen(layout.rank_dir(0))
-                b = base.reopen(layout.rank_dir(1))
+            assert (a.max_cached, a.prefetch_depth) == (1, 1)
             a.snapshot(0)
             assert a.cache_info()["counters"]["misses"] == 1
             assert b.cache_info()["counters"]["misses"] == 0  # no shared cache
+            assert base.cache_info()["counters"]["misses"] == 0
+        finally:
             a.close()
             b.close()
-        finally:
-            layout.remove()
 
-    def test_manifest_written_per_rank(self, shard_dir, sst):
-        layout = OwnedShardLayout.build(shard_dir, 2)
-        try:
-            with open(os.path.join(layout.rank_dir(1), MANIFEST),
-                      encoding="utf-8") as fh:
-                manifest = json.load(fh)
-            assert manifest["n_snapshots"] == layout.rank_span(1)[1] - layout.rank_span(1)[0]
-            assert manifest["label"] == sst.label
-        finally:
-            layout.remove()
-
-    def test_validation(self, shard_dir, tmp_path):
-        with pytest.raises(ValueError, match="nranks"):
-            OwnedShardLayout.build(shard_dir, 0)
-        with pytest.raises(FileNotFoundError):
-            OwnedShardLayout.build(str(tmp_path / "nope"), 2)
-        layout = OwnedShardLayout.build(shard_dir, 2)
-        try:
-            with pytest.raises(IndexError):
-                layout.rank_dir(2)
-            with pytest.raises(IndexError):
-                layout.rank_span(-1)
-        finally:
-            layout.remove()
-
-    def test_remove_keeps_base_directory(self, shard_dir):
-        layout = OwnedShardLayout.build(shard_dir, 2)
-        layout.remove()
-        assert not os.path.isdir(layout.root)
-        assert os.path.isfile(os.path.join(shard_dir, MANIFEST))
-        layout.remove()  # idempotent
+    def test_invalid_span_raises(self, shard_dir):
+        with ShardDirSource(shard_dir) as base:
+            for lo, hi in ((-1, 2), (3, 2), (0, base.n_snapshots + 1)):
+                with pytest.raises(ValueError, match=rf"span \[{lo}, {hi}\) invalid"):
+                    base.reopen(lo, hi)
+            with base.reopen(1, 3) as span:
+                with pytest.raises(ValueError, match="invalid for a 2-snapshot source"):
+                    span.reopen(0, 3)
+                with pytest.raises(IndexError):
+                    span.snapshot(2)
 
 
 def schema2(**counters) -> dict:

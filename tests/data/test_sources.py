@@ -515,7 +515,7 @@ class TestOpenSource:
             assert src.latency_s == 0.5
             assert src.bandwidth == 1e6
             assert src.max_staged == 3
-            assert src.layout_path == shard_dir
+            assert src.remote_path == shard_dir
         finally:
             src.close()
 
@@ -695,7 +695,7 @@ class TestRemoteTieredSource:
 
     def test_reopen_preserves_knobs(self, shard_dir):
         src = self._remote(shard_dir, max_staged=3, latency_s=0.25)
-        dup = src.reopen()
+        dup = src.reopen(0, src.n_snapshots)
         try:
             assert isinstance(dup, RemoteTieredSource)
             assert dup.remote_path == src.remote_path

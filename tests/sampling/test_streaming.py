@@ -1,7 +1,5 @@
 """Tests for streaming / in-situ sampling."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -1162,27 +1160,6 @@ class TestOwnedShardStreaming:
             with pytest.raises(ValueError, match="nranks >= 2"):
                 run_stream_subsample(src, self._case(), seed=0, nranks=1,
                                      owned_shards=True)
-
-    def test_layout_scratch_dir_removed_after_run(self, shard_dir, monkeypatch):
-        """The owned layout is run-scoped: its temp directory is gone after
-        the subsample, success or failure."""
-        from repro.data import ShardDirSource
-        from repro.data.store import OwnedShardLayout
-
-        roots = []
-        orig = OwnedShardLayout.build.__func__
-
-        def spy(cls, path, nranks, dest=None):
-            layout = orig(cls, path, nranks, dest)
-            roots.append(layout.root)
-            return layout
-
-        monkeypatch.setattr(OwnedShardLayout, "build", classmethod(spy))
-        with ShardDirSource(shard_dir) as src:
-            run_stream_subsample(src, self._case(), seed=0, nranks=2,
-                                 owned_shards=True)
-        assert len(roots) == 1
-        assert not os.path.isdir(roots[0])
 
     def test_fault_injection_with_owned_shards(self, shard_dir):
         """The acceptance combination: ownership + a mid-span death."""

@@ -2,6 +2,7 @@
 merged stream with bounded memory, and staying statistically faithful to
 the offline (resident-array) fit."""
 
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -171,6 +172,26 @@ class TestExperimentStreamTraining:
         # per-rank owned sources are reopened as the codec-agnostic class
         assert result.meta["feed"]["source"] == "ShardDirSource"
         assert np.isfinite(result.final_test_loss)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_owned_runs_need_no_scratch_directory(self, tmp_path, monkeypatch, backend):
+        """Owned-shard ranks read a reopened span of the shard directory
+        itself: an owned stream subsample and a 2-rank stream fit run with
+        ``tempfile.mkdtemp`` refusing every call."""
+        shard_dir = str(tmp_path / "shards")
+        save_dataset(self._ds(), shard_dir)
+
+        def refuse(*args, **kwargs):
+            raise OSError("mkdtemp called")
+
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        with ShardDirSource(shard_dir, max_cached=2) as src:
+            exp = (Experiment.from_case(sst_case(epochs=1)).with_source(src)
+                   .with_seed(0).with_backend(backend).with_train_ranks(2)
+                   .subsample(mode="stream", ranks=2, owned_shards=True)
+                   .train(mode="stream"))
+        assert exp.subsample_artifact.result.meta["cache"]["total"]["ranks"] == 2
+        assert np.isfinite(exp.train_artifact.result.final_test_loss)
 
     def test_stream_ddp_rejects_a_replaying_simulation(self):
         """Stream-fit ranks share the source as subsample ranks do, so the
