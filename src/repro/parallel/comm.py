@@ -29,7 +29,8 @@ from repro.parallel.perfmodel import PerfModel, VirtualClock
 
 __all__ = [
     "Communicator", "SerialComm", "RankFailure", "PeerRankFailed", "REDUCE_OPS",
-    "collective_results", "mismatched_collectives", "payload_nbytes", "reduce_many",
+    "collective_results", "mismatched_collectives", "stranded_collective",
+    "payload_nbytes", "reduce_many",
 ]
 
 
@@ -100,6 +101,13 @@ def mismatched_collectives(calls: Sequence[tuple]) -> RuntimeError | None:
     reduce_op)`` in `calls` differ; None when they all agree."""
     kinds = sorted(set(calls))
     return RuntimeError(f"mismatched collectives across ranks: {kinds}") if len(kinds) > 1 else None
+
+
+def stranded_collective(gone: list[int], waiting: list[int], op: str) -> RuntimeError:
+    """The error both backends fail the run with, as rank ``gone[0]``, when
+    the ranks `gone` have returned while the ranks `waiting` wait in
+    collective `op`, which can then never complete."""
+    return RuntimeError(f"rank(s) {gone} exited while rank(s) {waiting} wait in collective {op!r}")
 
 
 def payload_nbytes(obj: Any) -> int:

@@ -54,7 +54,7 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.parallel.comm import (Communicator, PeerRankFailed, collective_results,
-                                 mismatched_collectives)
+                                 mismatched_collectives, stranded_collective)
 from repro.parallel.perfmodel import PerfModel, VirtualClock
 
 __all__ = ["ProcessComm", "ProcessCommWorld", "run_process_spmd", "SHM_THRESHOLD"]
@@ -418,12 +418,7 @@ class _Hub:
             waiting = sorted(self._pending)
             gone = sorted(set(range(self.world.size)) - possible)
             op = next(iter(self._pending.values()))[0]
-            self._fail(
-                gone[0],
-                RuntimeError(
-                    f"rank(s) {gone} exited while rank(s) {waiting} wait in collective {op!r}"
-                ),
-            )
+            self._fail(gone[0], stranded_collective(gone, waiting, op))
 
     # Collective completion -------------------------------------------------
 

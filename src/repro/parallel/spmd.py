@@ -13,7 +13,9 @@ contract:
   virtual clocks.
 
 Exceptions on any rank abort the peers so they fail fast instead of
-deadlocking, then the originating failure is re-raised in the caller as
+deadlocking, and so does a rank that returns while a peer waits in a
+collective (or before a peer enters one, which can then never complete);
+the originating failure is re-raised in the caller as
 ``RuntimeError("rank N failed")`` chained from the original exception.
 """
 
@@ -98,7 +100,6 @@ def run_spmd(
     world = CommWorld(nranks, model=model, fault_hook=fault_hook)
     values: list[Any] = [None] * nranks
     clocks: list[VirtualClock] = [VirtualClock(model=world.model)] * nranks
-    errors: list[BaseException | None] = [None] * nranks
 
     def _target(rank: int) -> None:
         comm = ThreadComm(world, rank)
@@ -106,8 +107,9 @@ def run_spmd(
         try:
             values[rank] = fn(comm, *args, **kwargs)
         except BaseException as exc:  # must unblock peers on any failure
-            errors[rank] = exc
-            world.abort(exc)
+            world.abort(rank, exc)
+        else:
+            world.mark(rank, returned=True)
 
     threads = [
         threading.Thread(target=_target, args=(rank,), name=f"spmd-rank-{rank}", daemon=True)
@@ -118,8 +120,7 @@ def run_spmd(
     for t in threads:
         t.join()
 
-    # The first rank to abort the world failed; its peers are secondary casualties.
+    # The world's first failure is the run's; its peers are secondary casualties.
     if world.failure is not None:
-        rank = next(r for r, err in enumerate(errors) if err is world.failure)
-        raise RuntimeError(f"rank {rank} failed") from world.failure
+        raise RuntimeError(f"rank {world.failure_rank} failed") from world.failure
     return SpmdResult(values, clocks)

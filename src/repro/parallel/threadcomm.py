@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from repro.parallel.comm import (Communicator, PeerRankFailed, collective_results,
-                                 mismatched_collectives)
+                                 mismatched_collectives, stranded_collective)
 from repro.parallel.perfmodel import PerfModel, VirtualClock
 
 __all__ = ["ThreadComm", "CommWorld"]
@@ -55,7 +55,8 @@ def _private(obj: Any, own: Any) -> Any:
 
 
 class CommWorld:
-    """Shared state for one group of thread ranks."""
+    """Shared state for one group of thread ranks.  Like the process hub, it
+    fails a collective that can never complete at once (:meth:`mark`)."""
 
     def __init__(
         self,
@@ -72,12 +73,31 @@ class CommWorld:
         self.slots: list[Any] = [None] * size
         self.calls: list[tuple | None] = [None] * size  # each rank's (op, root, reduce_op)
         self.arrivals: list[float] = [0.0] * size
+        self._lock = threading.Lock()
+        self._waiting: set[int] = set()  # ranks in a collective not all ranks entered
+        self._returned: set[int] = set()
+        #: the run's first failure, and the rank it is reported as
         self.failure: BaseException | None = None
+        self.failure_rank: int | None = None
 
-    def abort(self, exc: BaseException) -> None:
-        """Record a rank failure and break the barrier so peers unblock."""
-        self.failure = self.failure or exc
+    def abort(self, rank: int, exc: BaseException) -> None:
+        """Fail the run as `rank` with `exc`, unless it failed already, and
+        break the barrier so peers unblock."""
+        with self._lock:
+            if self.failure is None:
+                self.failure, self.failure_rank = exc, rank
         self.barrier.abort()
+
+    def mark(self, rank: int, returned: bool = False) -> None:
+        """Mark `rank` as entering a collective, or as returned; fail the run
+        once ranks wait in a collective that a returned rank never enters."""
+        with self._lock:
+            (self._returned if returned else self._waiting).add(rank)
+            if len(self._waiting) == self.size:
+                self._waiting.clear()  # every rank is in: the collective completes
+            waiting, gone = sorted(self._waiting), sorted(self._returned)
+        if waiting and gone:
+            self.abort(gone[0], stranded_collective(gone, waiting, self.calls[waiting[0]][0]))
 
 
 class ThreadComm(Communicator):
@@ -123,6 +143,7 @@ class ThreadComm(Communicator):
         w.slots[self._rank] = contribution
         w.calls[self._rank] = (op, root, reduce_op)
         w.arrivals[self._rank] = self._clock.t
+        w.mark(self._rank)
         self._wait()
         mismatch = mismatched_collectives(w.calls)
         if mismatch is not None:

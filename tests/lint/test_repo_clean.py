@@ -44,7 +44,8 @@ def test_project_rule_suppressions_are_documented():
     """The interprocedural rules pass over the tree with exactly the
     known justified inline ignores: StreamFeed's derived test-batch cache
     (rebuilt deterministically on resume, so not checkpoint state), and the
-    communicator test whose ranks enter different collectives on purpose."""
+    two communicator tests whose ranks enter different collectives, or one
+    rank none, on purpose."""
     found = []
     for sub in ("src", "tests", "benchmarks"):
         for dirpath, _, filenames in os.walk(os.path.join(REPO, sub)):
@@ -62,4 +63,4 @@ def test_project_rule_suppressions_are_documented():
                             found.append((os.path.relpath(path, REPO), lineno))
     assert sorted({p for p, _ in found}) == ["src/repro/train/feeds.py",
                                              "tests/parallel/test_comm.py"]
-    assert len(found) == 3
+    assert len(found) == 4

@@ -9,11 +9,15 @@ clocks, and failure surfaces on either, which is the backend-conformance
 contract ``run_spmd(backend=...)`` promises.
 """
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
 from repro.parallel import PeerRankFailed, SerialComm, run_spmd
 from repro.parallel.comm import payload_nbytes
+from repro.parallel.threadcomm import ThreadComm
 
 # (backend, nranks) grid shared by every conformance class below.  The
 # process backend uses smaller rank counts: each case forks real workers.
@@ -240,6 +244,27 @@ class TestErrorPropagation:
         assert isinstance(excinfo.value.__cause__, ValueError)
         assert (tmp_path / "rank0").read_text() == "peer rank failed: ValueError('boom')"
 
+    @pytest.mark.parametrize("late", ["returner", "waiter"])
+    def test_stranded_collective_fails_at_once(self, backend, late, monkeypatch):
+        """A rank that returns while a peer waits in a collective, or before
+        a peer enters one, fails the run at once as the returned rank, with
+        the same message on both backends."""
+        monkeypatch.setattr(ThreadComm, "TIMEOUT", 10.0)
+
+        def prog(comm):
+            if comm.rank == int(late == "returner"):
+                time.sleep(0.2)  # the other rank has returned or is waiting
+            if comm.rank == 0:  # repro-lint: ignore[RPL007]
+                return comm.allreduce(1)
+            return None
+
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="rank 1 failed") as excinfo:
+            run_spmd(prog, 2, backend=backend, timeout=30.0)
+        assert time.monotonic() - t0 < 5.0
+        assert str(excinfo.value.__cause__) == (
+            "rank(s) [1] exited while rank(s) [0] wait in collective 'allreduce'")
+
     def test_mismatched_collectives_fail_rank_0(self, backend):
         """Ranks that enter different collectives fail the run as rank 0,
         with the same message on both backends, before any result is read."""
@@ -255,6 +280,19 @@ class TestErrorPropagation:
             "mismatched collectives across ranks: "
             "[('allreduce', None, 'sum'), ('gather', 0, None)]"
         )
+
+
+def test_thread_marks_hold_under_contention():
+    """Seven thread ranks (more than cores) through 300 collectives each,
+    with a shortened switch interval: a lost update to the world's arrival
+    and return marks would fail the run as a stranded collective."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        res = run_spmd(lambda c: [c.allreduce(c.rank) for _ in range(300)][-1], 7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert res.values == [21] * 7
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
