@@ -212,9 +212,9 @@ class SubsampleArtifact(Artifact):
                 })
         meta = {
             **self.meta,
-            # The config snapshot is stored once, at artifact level; strip the
-            # identical copy the pipeline records in result.meta.
-            "result_meta": {k: v for k, v in res.meta.items() if k != "case"},
+            # The config snapshot is stored once, at artifact level; cache
+            # counters vary with prefetch timing, so they stay in memory.
+            "result_meta": {k: v for k, v in res.meta.items() if k not in ("case", "cache")},
             "points_meta": res.points.meta if res.points is not None else None,
             "cubes": cube_meta,
             "n_candidate_cubes": res.n_candidate_cubes,
@@ -580,8 +580,8 @@ class Experiment:
         with per-rank sampler states recombined by weighted merge.
 
         Stream-only knobs (see :func:`repro.sampling.pipeline.subsample`):
-        ``owned_shards`` isolates per-rank shard I/O behind an
-        :class:`~repro.data.store.OwnedShardLayout`; ``on_rank_failure``
+        ``owned_shards`` gives each rank a private shard source over its span
+        (:meth:`~repro.data.sources.ShardDirSource.reopen`); ``on_rank_failure``
         picks the partial-stream policy (``"reweight"`` merges what failed
         producers delivered, ``"raise"`` fails the draw); ``fault_hook``
         injects producer deaths for testing.

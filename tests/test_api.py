@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import Experiment, SubsampleArtifact, TrainArtifact
+from repro.data import ShardDirSource, load_dataset, save_dataset
 from repro.runspec import SpecError
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 
@@ -288,6 +289,25 @@ class TestArtifacts:
                 .subsample())
         assert np.array_equal(redo.subsample_artifact.result.selected_cube_ids,
                               loaded.result.selected_cube_ids)
+
+    def test_owned_stream_artifact_saves_reproducible_bytes(self, tmp_path):
+        """Prefetch timing moves an owned run's cache counters, so a saved
+        artifact leaves them out: they stay on the in-memory result, and
+        two identical runs save the same bytes."""
+        shard_dir = str(tmp_path / "shards")
+        save_dataset(load_dataset("sst-binary", scale=0.5, rng=5), shard_dir)
+        saved = []
+        for run in range(2):
+            with ShardDirSource(shard_dir, max_cached=2, prefetch=2) as src:
+                exp = (Experiment.from_case(make_case()).with_source(src).with_seed(5)
+                       .subsample(mode="stream", ranks=2, owned_shards=True))
+            art = exp.subsample_artifact
+            assert art.result.meta["cache"]["total"]["ranks"] == 2
+            path = art.save(str(tmp_path / f"run{run}"))
+            assert "cache" not in SubsampleArtifact.load(path).result.meta
+            with open(path, "rb") as fh:
+                saved.append(fh.read())
+        assert saved[0] == saved[1]
 
     def test_full_method_artifact_roundtrip(self, tmp_path):
         """method='full' results hold dense cubes, not points; they must
