@@ -4,11 +4,11 @@ A shard directory written by :func:`repro.data.loaders.save_dataset` holds
 one shard per snapshot plus a ``manifest.json``.  How a shard is laid out
 on disk is the codec's business; everything above it — the bounded LRU,
 the background prefetcher, reopened per-rank spans, the remote staging
-tier — is codec-agnostic.  The
-registry mirrors the Sampler/CubeSelector/StreamSampler registries: codecs
-register by name, ``save_dataset(codec=...)`` selects one at write time
-and stamps it into the manifest (``"codec"``), and readers auto-detect it
-from there (manifests without the key are ``npz``, the historical format).
+tier — is codec-agnostic.  The registry mirrors the
+Sampler/CubeSelector/StreamSampler registries: codecs register by name,
+``save_dataset(codec=...)`` selects one at write time and stamps it into
+the manifest (``"codec"``), and readers auto-detect it from there
+(manifests without the key are ``npz``, the historical format).
 
 Three codecs ship:
 
